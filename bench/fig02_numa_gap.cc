@@ -1,6 +1,7 @@
 /** @file Figure 2: performance of NUMA-GPU and NUMA-GPU + read-only
  * page replication relative to an ideal system that replicates ALL
- * shared pages. */
+ * shared pages. The grid runs on the harness (CARVE_BENCH_THREADS
+ * workers). */
 
 #include "bench_util.hh"
 
@@ -20,11 +21,16 @@ main()
     std::printf("%-14s %10s %10s   %s\n", "workload", "NUMA-GPU",
                 "+Repl-RO", "(perf relative to ideal, 1.0 == ideal)");
 
+    const auto workloads = benchWorkloads(ctx);
+    const auto grid = runGrid(
+        ctx, {Preset::Ideal, Preset::NumaGpu, Preset::NumaGpuReplRO},
+        workloads);
+
     std::vector<double> numa_rel, repl_rel;
-    for (const auto &wl : benchWorkloads(ctx)) {
-        const SimResult ideal = run(ctx, Preset::Ideal, wl);
-        const SimResult numa = run(ctx, Preset::NumaGpu, wl);
-        const SimResult repl = run(ctx, Preset::NumaGpuReplRO, wl);
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const SimResult &ideal = grid[w][0];
+        const SimResult &numa = grid[w][1];
+        const SimResult &repl = grid[w][2];
         const double rn = speedupOver(numa, ideal) > 0
             ? static_cast<double>(ideal.cycles) /
                 static_cast<double>(numa.cycles)
@@ -33,7 +39,8 @@ main()
             static_cast<double>(repl.cycles);
         numa_rel.push_back(rn);
         repl_rel.push_back(rr);
-        std::printf("%-14s %10.2f %10.2f\n", wl.name.c_str(), rn, rr);
+        std::printf("%-14s %10.2f %10.2f\n", workloads[w].name.c_str(),
+                    rn, rr);
     }
     std::printf("%-14s %10.2f %10.2f\n", "geomean",
                 geomean(numa_rel), geomean(repl_rel));

@@ -1,7 +1,8 @@
 /** @file Figure 9: CARVE with zero-overhead coherence
  * (CARVE-No-Coherence) against NUMA-GPU, +Repl-RO and the ideal
  * system — the upper-bound case for caching remote data in video
- * memory. */
+ * memory. The grid runs on the harness (CARVE_BENCH_THREADS
+ * workers). */
 
 #include "bench_util.hh"
 
@@ -23,12 +24,19 @@ main()
                 "+Repl-RO", "CARVE-NoC",
                 "(relative to ideal, 1.0 == ideal)");
 
+    const auto workloads = benchWorkloads(ctx);
+    const auto grid = runGrid(ctx,
+                              {Preset::Ideal, Preset::NumaGpu,
+                               Preset::NumaGpuReplRO,
+                               Preset::CarveNoCoherence},
+                              workloads);
+
     std::vector<double> vn, vr, vc;
-    for (const auto &wl : benchWorkloads(ctx)) {
-        const SimResult ideal = run(ctx, Preset::Ideal, wl);
-        const SimResult numa = run(ctx, Preset::NumaGpu, wl);
-        const SimResult repl = run(ctx, Preset::NumaGpuReplRO, wl);
-        const SimResult noc = run(ctx, Preset::CarveNoCoherence, wl);
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const SimResult &ideal = grid[w][0];
+        const SimResult &numa = grid[w][1];
+        const SimResult &repl = grid[w][2];
+        const SimResult &noc = grid[w][3];
         const auto rel = [&](const SimResult &r) {
             return static_cast<double>(ideal.cycles) /
                 static_cast<double>(r.cycles);
@@ -36,8 +44,9 @@ main()
         vn.push_back(rel(numa));
         vr.push_back(rel(repl));
         vc.push_back(rel(noc));
-        std::printf("%-14s %10.2f %10.2f %10.2f\n", wl.name.c_str(),
-                    vn.back(), vr.back(), vc.back());
+        std::printf("%-14s %10.2f %10.2f %10.2f\n",
+                    workloads[w].name.c_str(), vn.back(), vr.back(),
+                    vc.back());
     }
     std::printf("%-14s %10.2f %10.2f %10.2f\n", "geomean",
                 geomean(vn), geomean(vr), geomean(vc));

@@ -1,7 +1,8 @@
 /** @file Figure 11: CARVE under software vs hardware coherence.
  * Software coherence (epoch-flushing the RDC at every kernel
  * boundary) forfeits inter-kernel locality; GPU-VI+IMST hardware
- * coherence restores it. */
+ * coherence restores it. The grid runs on the harness
+ * (CARVE_BENCH_THREADS workers). */
 
 #include "bench_util.hh"
 
@@ -29,13 +30,20 @@ main()
     std::printf("%-14s %10s %10s %10s %10s\n", "workload",
                 "NUMA-GPU", "CARVE-SWC", "CARVE-HWC", "CARVE-NoC");
 
+    const auto workloads = benchWorkloads(ctx);
+    const auto grid = runGrid(ctx,
+                              {Preset::Ideal, Preset::NumaGpu,
+                               Preset::CarveSwc, Preset::CarveHwc,
+                               Preset::CarveNoCoherence},
+                              workloads);
+
     std::vector<double> vb, vs, vh, vc;
-    for (const auto &wl : benchWorkloads(ctx)) {
-        const SimResult ideal = run(ctx, Preset::Ideal, wl);
-        const SimResult numa = run(ctx, Preset::NumaGpu, wl);
-        const SimResult swc = run(ctx, Preset::CarveSwc, wl);
-        const SimResult hwc = run(ctx, Preset::CarveHwc, wl);
-        const SimResult noc = run(ctx, Preset::CarveNoCoherence, wl);
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const SimResult &ideal = grid[w][0];
+        const SimResult &numa = grid[w][1];
+        const SimResult &swc = grid[w][2];
+        const SimResult &hwc = grid[w][3];
+        const SimResult &noc = grid[w][4];
         const auto rel = [&](const SimResult &r) {
             return static_cast<double>(ideal.cycles) /
                 static_cast<double>(r.cycles);
@@ -45,8 +53,8 @@ main()
         vh.push_back(rel(hwc));
         vc.push_back(rel(noc));
         std::printf("%-14s %10.2f %10.2f %10.2f %10.2f\n",
-                    wl.name.c_str(), vb.back(), vs.back(), vh.back(),
-                    vc.back());
+                    workloads[w].name.c_str(), vb.back(), vs.back(),
+                    vh.back(), vc.back());
     }
     std::printf("%-14s %10.2f %10.2f %10.2f %10.2f\n", "geomean",
                 geomean(vb), geomean(vs), geomean(vh), geomean(vc));

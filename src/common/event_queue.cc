@@ -201,19 +201,8 @@ EventQueue::fireNext()
     // Invoke in place: the node is off every list, so the callback may
     // freely schedule further events (the pool just can't recycle this
     // one node until it returns). Saves a relocate per event.
-    firing_ = n;
-    repeat_ = false;
     n->fn();
-    firing_ = nullptr;
-    if (repeat_) {
-        // repeatAfter() already stamped when/seq; requeue as-is.
-        if (engine_ == EventEngine::Calendar && n->when < window_end_)
-            pushRing(n);
-        else
-            far_.push(n);
-    } else {
-        freeNode(n);
-    }
+    freeNode(n);
 }
 
 std::uint64_t

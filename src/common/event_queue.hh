@@ -243,26 +243,6 @@ class EventQueue
         schedule(now_ + delay, std::move(fn));
     }
 
-    /**
-     * Re-arm the currently firing event @p delay cycles from now,
-     * reusing its node and callback in place: no allocation, no
-     * callback reconstruction. Only valid while a callback is running
-     * (fatal otherwise). The sequence number is claimed immediately,
-     * so ordering is byte-identical to calling scheduleAfter() with an
-     * equivalent callback at the same point. The poster child is a
-     * fixed-cadence retry poll that re-parks itself while a resource
-     * stays full.
-     */
-    void
-    repeatAfter(Cycle delay)
-    {
-        if (!firing_)
-            fatal("EventQueue: repeatAfter outside a callback");
-        firing_->when = now_ + delay;
-        firing_->seq = next_seq_++;
-        repeat_ = true;
-    }
-
     /** Number of pending events. */
     std::size_t
     pending() const
@@ -314,7 +294,7 @@ class EventQueue
      * free list; fn is the only non-POD member. Sized to one cache
      * line: in MSHR-saturated phases the pending-event working set is
      * thousands of nodes, and halving the node footprint keeps the
-     * fire/re-arm loop in L2. */
+     * schedule/fire loop in L2. */
     struct EventNode
     {
         Cycle when = 0;
@@ -366,11 +346,6 @@ class EventQueue
     Cycle now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
-
-    // In-place re-arm support (repeatAfter): the node whose callback
-    // is currently executing, and whether it asked to fire again.
-    EventNode *firing_ = nullptr;
-    bool repeat_ = false;
 
     // Near-horizon ring: bucket (t % horizon) holds exactly the
     // pending events at tick t for t in [now_, now_ + horizon), in

@@ -4,10 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <string>
+#include <unordered_map>
 
 #include <sys/resource.h>
 
 #include "common/logging.hh"
+#include "harness/spec_key.hh"
 #include "harness/thread_pool.hh"
 
 namespace carve {
@@ -114,41 +117,68 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &opt)
     if (specs.empty())
         return results;
 
+    // Dedup by content key: producers[d] is the spec index that runs
+    // distinct spec d, copies[d] the later indices that receive its
+    // result verbatim.
+    std::vector<std::size_t> producers;
+    std::vector<std::vector<std::size_t>> copies;
+    {
+        std::unordered_map<std::string, std::size_t> seen;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            const auto [it, fresh] =
+                seen.emplace(specKey(specs[i]), producers.size());
+            if (fresh) {
+                producers.push_back(i);
+                copies.emplace_back();
+            } else {
+                copies[it->second].push_back(i);
+            }
+        }
+    }
+
     std::atomic<std::size_t> done{0};
-    const auto run_one = [&](std::size_t i) {
-        // Index-addressed writes keep result order equal to spec
-        // order no matter which worker finishes when.
-        results[i] = executeRun(specs[i]);
+    const auto report = [&](std::size_t i) {
         const std::size_t d =
             done.fetch_add(1, std::memory_order_relaxed) + 1;
         if (opt.on_progress)
             opt.on_progress(d, specs.size(), results[i]);
     };
+    const auto run_one = [&](std::size_t d) {
+        // Index-addressed writes keep result order equal to spec
+        // order no matter which worker finishes when.
+        const std::size_t i = producers[d];
+        results[i] = executeRun(specs[i]);
+        report(i);
+        for (const std::size_t j : copies[d]) {
+            results[j] = results[i];
+            report(j);
+        }
+    };
 
     unsigned threads = opt.threads == 0
         ? ThreadPool::hardwareThreads()
         : opt.threads;
-    if (threads > specs.size())
-        threads = static_cast<unsigned>(specs.size());
+    if (threads > producers.size())
+        threads = static_cast<unsigned>(producers.size());
 
     if (threads <= 1) {
-        for (std::size_t i = 0; i < specs.size(); ++i)
-            run_one(i);
+        for (std::size_t d = 0; d < producers.size(); ++d)
+            run_one(d);
         if (opt.telemetry) {
             // Inline execution: one synthetic "worker" (the calling
             // thread, which never NUMA-binds itself).
             opt.telemetry->workers.assign(
-                1, SweepTelemetry::Worker{specs.size(), -1});
+                1, SweepTelemetry::Worker{producers.size(), -1});
         }
     } else {
         // The pool is owned here (not hidden inside parallelFor) so
         // the per-worker WorkerState survives until it can be read
-        // into the telemetry record. One pool job per run keeps the
-        // dynamic load balancing of the old index loop and makes
-        // jobs_run count simulations, not drain loops.
+        // into the telemetry record. One pool job per distinct spec
+        // keeps the dynamic load balancing of the old index loop and
+        // makes jobs_run count simulations, not drain loops.
         ThreadPool pool(threads);
-        for (std::size_t i = 0; i < specs.size(); ++i)
-            pool.submit([&run_one, i] { run_one(i); });
+        for (std::size_t d = 0; d < producers.size(); ++d)
+            pool.submit([&run_one, d] { run_one(d); });
         pool.wait();
         if (opt.telemetry) {
             opt.telemetry->workers.resize(pool.size());
@@ -161,10 +191,11 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &opt)
 
     if (opt.telemetry) {
         // Filled post-hoc in spec order, single-threaded, so the
-        // bucket contents do not depend on completion order.
-        for (const RunResult &r : results) {
+        // bucket contents do not depend on completion order. One
+        // sample per simulation: copies are not re-timed.
+        for (const std::size_t i : producers) {
             opt.telemetry->job_wall_us.sample(
-                static_cast<std::uint64_t>(r.wall_seconds * 1e6));
+                static_cast<std::uint64_t>(results[i].wall_seconds * 1e6));
         }
     }
     return results;

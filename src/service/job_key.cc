@@ -1,31 +1,17 @@
 #include "service/job_key.hh"
 
-#include <cstdio>
+#include "harness/spec_key.hh"
 
 namespace carve {
 namespace service {
-
-std::uint64_t
-fnv1a64(std::string_view bytes)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;  // FNV offset basis
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;  // FNV prime
-    }
-    return h;
-}
 
 std::string
 jobKey(const JobSpec &spec)
 {
     // The canonical dump already embeds kJobSchema, so a schema bump
     // re-keys every job.
-    const std::string canon = jobSpecToJson(spec).dump(0);
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(canon)));
-    return buf;
+    return harness::hexKey(
+        harness::fnv1a64(jobSpecToJson(spec).dump(0)));
 }
 
 bool

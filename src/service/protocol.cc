@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "harness/spec_key.hh"
 
 namespace carve {
 namespace service {
@@ -77,20 +78,6 @@ requireString(const json::Value &v, const char *key, const char *what)
     return m.asString();
 }
 
-json::Value
-regionToJson(const RegionSpec &r)
-{
-    json::Value o{json::Members{}};
-    o.set("kind", regionKindName(r.kind));
-    o.set("bytes", r.bytes);
-    o.set("access_frac", r.access_frac);
-    o.set("write_frac", r.write_frac);
-    o.set("zipf", r.zipf);
-    o.set("lanes", static_cast<unsigned>(r.lanes));
-    o.set("neighbor_frac", r.neighbor_frac);
-    return o;
-}
-
 RegionSpec
 regionFromJson(const json::Value &v)
 {
@@ -104,25 +91,6 @@ regionFromJson(const json::Value &v)
         static_cast<std::uint8_t>(requireU64(v, "lanes", "region"));
     r.neighbor_frac = requireDouble(v, "neighbor_frac", "region");
     return r;
-}
-
-json::Value
-workloadToJson(const WorkloadParams &w)
-{
-    json::Value o{json::Members{}};
-    o.set("name", w.name);
-    o.set("kernels", w.kernels);
-    o.set("ctas", w.ctas);
-    o.set("warps_per_cta", w.warps_per_cta);
-    o.set("insts_per_warp", w.insts_per_warp);
-    o.set("compute_min", static_cast<unsigned>(w.compute_min));
-    o.set("compute_max", static_cast<unsigned>(w.compute_max));
-    o.set("iterative", w.iterative);
-    json::Value regions{json::Array{}};
-    for (const RegionSpec &r : w.regions)
-        regions.push(regionToJson(r));
-    o.set("regions", std::move(regions));
-    return o;
 }
 
 WorkloadParams
@@ -157,13 +125,10 @@ jobSpecToJson(const JobSpec &spec)
     json::Value o{json::Members{}};
     o.set("schema", kJobSchema);
     o.set("preset", spec.preset);
-    o.set("workload", workloadToJson(spec.workload));
+    o.set("workload", harness::workloadToJson(spec.workload));
     // Sorted override keys: the canonical configuration form, so the
     // dump is independent of how the config was assembled.
-    json::Value cfg{json::Members{}};
-    for (const ConfigOverride &ov : spec.config.canonicalOverrides())
-        cfg.set(ov.key, ov.value);
-    o.set("config", std::move(cfg));
+    o.set("config", harness::configToJson(spec.config));
     json::Value opts{json::Members{}};
     opts.set("seed", spec.seed);
     opts.set("max_cycles", spec.max_cycles);

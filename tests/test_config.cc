@@ -248,9 +248,12 @@ TEST(ConfigDeathTest, ScaledRequiresPowerOfTwo)
                 "power of two");
 }
 
+// The alias is a std::string, not a const char *: ctest names each case
+// after the printed parameter, and a printed pointer carries its address,
+// which changes with every run under ASLR.
 class PolicyParseTest
     : public ::testing::TestWithParam<
-          std::pair<const char *, ReplicationPolicy>>
+          std::pair<std::string, ReplicationPolicy>>
 {
 };
 

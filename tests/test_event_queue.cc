@@ -285,23 +285,6 @@ struct Counter
     }
 };
 
-/** Fixed-cadence self-re-arming event (the repeatAfter() idiom). */
-struct Repeater
-{
-    EventQueue *eq;
-    int fires = 0;
-    Cycle last_fire = 0;
-
-    void
-    tick()
-    {
-        ++fires;
-        last_fire = eq->now();
-        if (fires < 3)
-            eq->repeatAfter(10);
-    }
-};
-
 } // namespace bind_test
 
 TEST(EventFn, BindEventPassesBoundArguments)
@@ -331,44 +314,6 @@ TEST(EventFn, BindEventFitsThisPlusThreeWords)
     eq.run();
     EXPECT_EQ(c.calls, 1);
     EXPECT_EQ(c.last, 7);
-}
-
-TEST(EventQueue, RepeatAfterReArmsTheFiringEvent)
-{
-    EventQueue eq;
-    bind_test::Repeater r{&eq};
-    eq.schedule(5, bindEvent<&bind_test::Repeater::tick>(&r));
-    eq.run();
-    EXPECT_EQ(r.fires, 3);
-    EXPECT_EQ(r.last_fire, 25u);  // 5, 15, 25
-    EXPECT_EQ(eq.executed(), 3u);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, RepeatAfterKeepsSchedulingOrderAtEqualTicks)
-{
-    // A re-armed event claims its sequence number at the repeatAfter()
-    // call, so an event scheduled later for the same tick fires after
-    // it — byte-identical to a fresh scheduleAfter().
-    EventQueue eq;
-    std::vector<int> order;
-    bind_test::Repeater r{&eq};
-    eq.schedule(5, bindEvent<&bind_test::Repeater::tick>(&r));
-    eq.schedule(5, [&] {
-        order.push_back(0);
-        eq.schedule(15, [&] { order.push_back(1); });
-    });
-    eq.run();
-    // Tick 15: the re-armed repeater (seq claimed at t=5) precedes the
-    // callback scheduled at t=5 after it.
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(r.fires, 3);
-}
-
-TEST(EventQueueDeathTest, RepeatAfterOutsideCallbackIsFatal)
-{
-    EventQueue eq;
-    EXPECT_DEATH(eq.repeatAfter(1), "repeatAfter outside a callback");
 }
 
 } // namespace

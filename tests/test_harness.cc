@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
+#include <mutex>
 
 #include "common/logging.hh"
 #include "harness/json.hh"
@@ -145,6 +146,125 @@ TEST_F(HarnessTest, SerialAndParallelSweepsProduceIdenticalJson)
             << "results must keep spec order";
         EXPECT_EQ(r1[i].status, RunStatus::Ok);
         EXPECT_GT(r1[i].sim.cycles, 0u);
+    }
+}
+
+// ---- dedup ---------------------------------------------------------
+
+/** What runSweep reported about one sweep besides its results. */
+struct SweepRecord
+{
+    std::vector<RunResult> results;
+    std::uint64_t jobs_run = 0;  ///< summed over workers
+    std::uint64_t job_samples = 0;
+    std::vector<std::pair<std::size_t, std::size_t>> progress;
+};
+
+SweepRecord
+recordSweep(const std::vector<RunSpec> &specs, unsigned threads)
+{
+    SweepRecord rec;
+    SweepTelemetry tel;
+    std::mutex mu;
+    SweepOptions opt;
+    opt.threads = threads;
+    opt.telemetry = &tel;
+    opt.on_progress = [&](std::size_t done, std::size_t total,
+                          const RunResult &) {
+        const std::lock_guard<std::mutex> lock(mu);
+        rec.progress.emplace_back(done, total);
+    };
+    rec.results = runSweep(specs, opt);
+    for (const SweepTelemetry::Worker &w : tel.workers)
+        rec.jobs_run += w.jobs_run;
+    rec.job_samples = tel.job_wall_us.count();
+    return rec;
+}
+
+TEST_F(HarnessTest, DuplicateSpecsAreSimulatedOnce)
+{
+    const RunSpec a = miniSpec(Preset::SingleGpu, "wl");
+    const RunSpec b = miniSpec(Preset::NumaGpu, "wl");
+    const RunSpec c = miniSpec(Preset::CarveHwc, "wl");
+    const std::vector<RunSpec> specs = {a, b, a, c, b, a};
+
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const SweepRecord rec = recordSweep(specs, threads);
+        ASSERT_EQ(rec.results.size(), specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            EXPECT_EQ(resultToJson(rec.results[i]).dump(),
+                      resultToJson(executeRun(specs[i])).dump())
+                << "spec " << i << " must equal running it alone";
+        }
+        EXPECT_EQ(rec.jobs_run, 3u)
+            << "one simulation per distinct spec";
+        EXPECT_EQ(rec.job_samples, 3u);
+
+        ASSERT_EQ(rec.progress.size(), specs.size());
+        std::vector<std::size_t> done;
+        for (const auto &[d, total] : rec.progress) {
+            EXPECT_EQ(total, specs.size());
+            done.push_back(d);
+        }
+        std::sort(done.begin(), done.end());
+        for (std::size_t i = 0; i < done.size(); ++i)
+            EXPECT_EQ(done[i], i + 1);
+        if (threads == 1) {
+            EXPECT_EQ(rec.progress.back().first, specs.size());
+        }
+    }
+}
+
+TEST_F(HarnessTest, DuplicateOfAFailedSpecFailsTheSameWay)
+{
+    RunSpec bad = miniSpec(Preset::CarveHwc, "bad");
+    bad.base.line_size = 100;  // not a power of two -> validate() fatals
+    const RunSpec good = miniSpec(Preset::NumaGpu, "wl");
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const SweepRecord rec = recordSweep({bad, good, bad}, threads);
+        ASSERT_EQ(rec.results.size(), 3u);
+        EXPECT_EQ(rec.results[0].status, RunStatus::Failed);
+        EXPECT_EQ(rec.results[2].status, RunStatus::Failed);
+        EXPECT_FALSE(rec.results[0].error.empty());
+        EXPECT_EQ(rec.results[2].error, rec.results[0].error);
+        EXPECT_EQ(rec.results[1].status, RunStatus::Ok);
+        EXPECT_EQ(rec.jobs_run, 2u);
+    }
+}
+
+TEST_F(HarnessTest, SpecsDifferingInOneResultFieldDoNotMerge)
+{
+    const RunSpec base = miniSpec(Preset::CarveHwc, "wl");
+    std::vector<std::pair<std::string, RunSpec>> variants;
+    {
+        RunSpec v = base;
+        v.base.applyOverride("link.gpu_gpu_bw", "32");
+        variants.emplace_back("link.gpu_gpu_bw", v);
+    }
+    {
+        RunSpec v = base;
+        v.opts.telemetry.enabled = true;
+        variants.emplace_back("telemetry.enabled", v);
+    }
+    {
+        RunSpec v = base;
+        v.opts.trace.enabled = true;  // in memory: no file written
+        variants.emplace_back("trace", v);
+    }
+    {
+        RunSpec v = base;
+        v.host_stats = true;
+        variants.emplace_back("host_stats", v);
+    }
+    for (const auto &[what, v] : variants) {
+        SCOPED_TRACE(what);
+        ASSERT_EQ(v.key(), base.key()) << "same display key";
+        const SweepRecord rec = recordSweep({base, v}, 1);
+        EXPECT_EQ(rec.jobs_run, 2u) << "must simulate both specs";
+        EXPECT_EQ(rec.results[0].status, RunStatus::Ok);
+        EXPECT_EQ(rec.results[1].status, RunStatus::Ok);
     }
 }
 

@@ -16,6 +16,7 @@
 
 #include "common/logging.hh"
 #include "harness/results_io.hh"
+#include "harness/spec_key.hh"
 #include "harness/sweep.hh"
 #include "service/client.hh"
 #include "service/job_key.hh"
@@ -121,6 +122,18 @@ TEST_F(ServiceTest, JobKeySeparatesSemanticDifferences)
     JobSpec wl = base;
     wl.workload.insts_per_warp += 1;
     EXPECT_NE(jobKey(wl), jobKey(base));
+}
+
+TEST_F(ServiceTest, JobKeyBytesAreStable)
+{
+    // Published FNV-1a 64 test vectors.
+    EXPECT_EQ(harness::fnv1a64(""), 0xcbf29ce484222325ull);
+    EXPECT_EQ(harness::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(harness::fnv1a64("foobar"), 0x85944171f73967e8ull);
+    // A fixed spec keeps its key, so existing result caches stay
+    // valid. Changing this value orphans every cached result: bump
+    // kJobSchema instead when simulation semantics change.
+    EXPECT_EQ(jobKey(miniJob()), "f4f93f496cc1aedf");
 }
 
 TEST_F(ServiceTest, CanonicalOverridesAreSortedAndComplete)
