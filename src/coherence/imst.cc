@@ -1,5 +1,7 @@
 #include "coherence/imst.hh"
 
+#include "common/logging.hh"
+
 namespace carve {
 
 const char *
@@ -23,53 +25,47 @@ Imst::Imst(NodeId home, double demote_probability, std::uint64_t seed)
 SharingState
 Imst::state(Addr line_addr) const
 {
-    const auto it = states_.find(line_addr);
-    return it == states_.end() ? SharingState::Uncached
-                               : it->second.state;
+    const LineState *ls = states_.find(line_addr);
+    return ls ? ls->sharing() : SharingState::Uncached;
 }
 
 NodeId
 Imst::owner(Addr line_addr) const
 {
-    const auto it = states_.find(line_addr);
-    if (it == states_.end() ||
-        it->second.state != SharingState::Private) {
+    const LineState *ls = states_.find(line_addr);
+    if (!ls || ls->sharing() != SharingState::Private)
         return invalid_node;
-    }
-    return it->second.owner;
+    return ls->owner;
 }
 
 SharingState
 Imst::onAccess(Addr line_addr, NodeId requester, AccessType type,
                bool &needs_invalidate)
 {
+    carve_assert(requester < max_gpus);
     needs_invalidate = false;
     const bool write = isWrite(type);
     LineState &ls = states_[line_addr];
 
-    switch (ls.state) {
+    switch (ls.sharing()) {
       case SharingState::Uncached:
-        ls.state = SharingState::Private;
-        ls.owner = requester;
+        ls.set(SharingState::Private, requester);
         break;
 
       case SharingState::Private:
         if (requester != ls.owner) {
-            if (write) {
-                // The old owner may cache a stale copy: invalidate.
-                needs_invalidate = true;
-                ls.state = SharingState::ReadWriteShared;
-            } else {
-                ls.state = SharingState::ReadShared;
-            }
-            ls.owner = invalid_node;
+            // A foreign write leaves the old owner with a possibly
+            // stale copy: invalidate.
+            needs_invalidate = write;
+            ls.set(write ? SharingState::ReadWriteShared
+                         : SharingState::ReadShared);
         }
         break;
 
       case SharingState::ReadShared:
         if (write) {
             needs_invalidate = true;
-            ls.state = SharingState::ReadWriteShared;
+            ls.set(SharingState::ReadWriteShared);
         }
         break;
 
@@ -84,8 +80,7 @@ Imst::onAccess(Addr line_addr, NodeId requester, AccessType type,
     // broadcast) so lines whose sharing phase ended stop paying
     // broadcast costs.
     if (write && needs_invalidate && rng_.chance(demote_probability_)) {
-        ls.state = SharingState::Private;
-        ls.owner = requester;
+        ls.set(SharingState::Private, requester);
         ++demotions_;
     }
 
@@ -96,7 +91,7 @@ Imst::onAccess(Addr line_addr, NodeId requester, AccessType type,
             ++filtered_writes_;
     }
 
-    return ls.state;
+    return ls.sharing();
 }
 
 } // namespace carve

@@ -14,14 +14,19 @@
  * page-granularity sharing is false. Lines can stick in shared states
  * forever, so writes probabilistically demote to Private (after
  * broadcasting invalidates) to re-learn the sharing pattern.
+ *
+ * The model keeps one packed byte per touched line (2-bit state,
+ * 6-bit owner) in a FlatMap keyed by line address. Lines are never
+ * removed: an untouched line reads as Uncached, and once touched a
+ * line never returns to Uncached.
  */
 
 #ifndef CARVE_COHERENCE_IMST_HH
 #define CARVE_COHERENCE_IMST_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/flat_map.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -76,7 +81,7 @@ class Imst
     /** Owner of a Private line (invalid_node otherwise). */
     NodeId owner(Addr line_addr) const;
 
-    /** Lines currently tracked in a non-Uncached state. */
+    /** Lines ever accessed (all are in a non-Uncached state). */
     std::size_t trackedLines() const { return states_.size(); }
 
     /** Writes that required a broadcast. */
@@ -105,16 +110,35 @@ class Imst
     }
 
   private:
+    /** Owner field value of a line that has no single owner. */
+    static constexpr std::uint8_t no_owner = 63;
+
+    /** One line's ECC metadata. */
     struct LineState
     {
-        SharingState state = SharingState::Uncached;
-        NodeId owner = invalid_node;  ///< valid only when Private
+        std::uint8_t state : 2 = 0;         ///< a SharingState
+        std::uint8_t owner : 6 = no_owner;  ///< no_owner unless Private
+
+        SharingState
+        sharing() const
+        {
+            return static_cast<SharingState>(state);
+        }
+
+        void
+        set(SharingState s, NodeId o = no_owner)
+        {
+            state = static_cast<std::uint8_t>(s);
+            owner = static_cast<std::uint8_t>(o);
+        }
     };
+    static_assert(sizeof(LineState) == 1);
+    static_assert(max_gpus <= no_owner, "owner holds any GPU id");
 
     NodeId home_;
     double demote_probability_;
     Rng rng_;
-    std::unordered_map<Addr, LineState> states_;
+    FlatMap<LineState> states_;
 
     stats::Scalar shared_writes_;
     stats::Scalar filtered_writes_;

@@ -395,8 +395,9 @@ SystemConfig::canonicalOverrides() const
 void
 SystemConfig::validate() const
 {
-    if (num_gpus == 0)
-        fatal("config: num_gpus must be >= 1");
+    if (num_gpus == 0 || num_gpus > max_gpus)
+        fatal("config: num_gpus must lie in [1, %u] "
+              "(override key \"num_gpus\")", max_gpus);
     if (sim_threads == 0)
         fatal("config: sim_threads must be >= 1");
     if (!isPowerOf2(line_size))

@@ -41,9 +41,9 @@ namespace carve {
 
 namespace engine_ctx {
 
-/** Shard slots: max_nodes GPU domains + the system domain + one
+/** Shard slots: max_gpus GPU domains + the system domain + one
  * barrier/external slot. */
-inline constexpr unsigned max_shards = 18;
+inline constexpr unsigned max_shards = max_gpus + 2;
 /** Shard index for single-threaded contexts: window barriers, unit
  * tests driving components without an engine, tool main threads. */
 inline constexpr unsigned barrier_shard = max_shards - 1;

@@ -20,6 +20,11 @@ using Cycle = std::uint64_t;
 /** Identifier of a GPU node in the multi-GPU system. */
 using NodeId = std::uint32_t;
 
+/** Most GPUs a system may have. SystemConfig::validate() enforces it;
+ * the per-node bitmasks, the IMST owner field and the RDC home field
+ * are sized by it and static_assert so. */
+inline constexpr unsigned max_gpus = 16;
+
 /** Identifier of an SM within one GPU. */
 using SmId = std::uint32_t;
 

@@ -26,13 +26,22 @@ homeNumaNode()
     return hostnuma::available() ? hostnuma::currentNode() : -1;
 }
 
+/** @p cfg after validate(): the member initializers below already size
+ * the engine and network by it. */
+const SystemConfig &
+validated(const SystemConfig &cfg)
+{
+    cfg.validate();
+    return cfg;
+}
+
 } // namespace
 
 MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
                                const Workload &wl, bool profile_lines,
                                bool audit,
                                telemetry::Options telemetry)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       engine_(cfg_.num_gpus, DomainEngine::lookaheadWindow(cfg_),
               cfg_.engine, cfg_.sim_threads),
       wl_(wl),
@@ -43,7 +52,6 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
       telem_(telemetry),
       stat_root_("")
 {
-    cfg_.validate();
     if (audit)
         audit_.emplace();
 

@@ -18,13 +18,12 @@ RdcLookup
 AlloyCache::lookup(Addr line_addr, std::uint32_t epoch)
 {
     ++probes_;
-    const auto it = sets_map_.find(setIndex(line_addr));
-    if (it == sets_map_.end() || !it->second.valid ||
-        it->second.tag != line_addr) {
+    const SetEntry *e = sets_map_.find(setIndex(line_addr));
+    if (!e || !e->valid || e->tag != line_addr) {
         ++misses_;
         return RdcLookup::Miss;
     }
-    if (it->second.epoch != epoch) {
+    if (e->epoch != epoch) {
         ++stale_;
         return RdcLookup::StaleEpoch;
     }
@@ -36,66 +35,66 @@ std::optional<RdcVictim>
 AlloyCache::insert(Addr line_addr, std::uint32_t epoch, bool dirty,
                    NodeId home)
 {
+    carve_assert(home < max_gpus);
     SetEntry &entry = sets_map_[setIndex(line_addr)];
+    const bool resident = entry.valid && entry.tag == line_addr;
+    if (resident && entry.dirty && !dirty) {
+        // A clean fill of a line that a racing write already dirtied
+        // keeps the write's data, and the home the write recorded.
+        entry.epoch = epoch;
+        return std::nullopt;
+    }
     std::optional<RdcVictim> victim;
-    if (entry.valid && entry.tag != line_addr) {
+    if (entry.valid && !resident) {
         ++conflicts_;
         if (entry.dirty)
             ++dirty_evictions_;
         victim = RdcVictim{entry.tag, entry.home, entry.dirty};
     }
-    entry.tag = line_addr;
-    entry.epoch = epoch;
-    entry.home = home;
-    entry.valid = true;
-    entry.dirty = dirty;
+    entry = SetEntry{line_addr, epoch, static_cast<std::uint8_t>(home),
+                     /* valid */ true, dirty};
     return victim;
 }
 
 bool
-AlloyCache::markDirty(Addr line_addr, std::uint32_t epoch)
+AlloyCache::markDirty(Addr line_addr, std::uint32_t epoch, NodeId home)
 {
-    const auto it = sets_map_.find(setIndex(line_addr));
-    if (it == sets_map_.end() || !it->second.valid ||
-        it->second.tag != line_addr || it->second.epoch != epoch) {
+    carve_assert(home < max_gpus);
+    SetEntry *e = sets_map_.find(setIndex(line_addr));
+    if (!e || !e->valid || e->tag != line_addr || e->epoch != epoch)
         return false;
-    }
-    it->second.dirty = true;
+    e->dirty = true;
+    e->home = static_cast<std::uint8_t>(home);
     return true;
 }
 
 bool
 AlloyCache::lineDirty(Addr line_addr) const
 {
-    const auto it = sets_map_.find(setIndex(line_addr));
-    return it != sets_map_.end() && it->second.valid &&
-        it->second.tag == line_addr && it->second.dirty;
+    const SetEntry *e = sets_map_.find(setIndex(line_addr));
+    return e && e->valid && e->tag == line_addr && e->dirty;
 }
 
 void
 AlloyCache::cleanAll()
 {
-    for (auto &kv : sets_map_)
-        kv.second.dirty = false;
+    sets_map_.forEach([](Addr, SetEntry &e) { e.dirty = false; });
 }
 
 bool
 AlloyCache::peek(Addr line_addr, std::uint32_t epoch) const
 {
-    const auto it = sets_map_.find(setIndex(line_addr));
-    return it != sets_map_.end() && it->second.valid &&
-        it->second.tag == line_addr && it->second.epoch == epoch;
+    const SetEntry *e = sets_map_.find(setIndex(line_addr));
+    return e && e->valid && e->tag == line_addr && e->epoch == epoch;
 }
 
 bool
 AlloyCache::invalidateLine(Addr line_addr)
 {
-    const auto it = sets_map_.find(setIndex(line_addr));
-    if (it == sets_map_.end() || !it->second.valid ||
-        it->second.tag != line_addr) {
+    SetEntry *e = sets_map_.find(setIndex(line_addr));
+    if (!e || !e->valid || e->tag != line_addr)
         return false;
-    }
-    it->second.valid = false;
+    e->valid = false;
     return true;
 }
 

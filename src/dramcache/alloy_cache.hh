@@ -7,18 +7,23 @@
  * access returns both; the structure here tracks tag/epoch/valid/dirty
  * state while the owning RdcController charges the DRAM timing.
  *
- * The tag store is sparse (hash map keyed by set) so multi-GB
- * carve-outs cost memory proportional to the *touched* footprint, not
- * the configured capacity.
+ * The tag store is a FlatMap from set index to a packed 16-byte
+ * SetEntry, holding only touched sets: a multi-GB carve-out costs
+ * memory in proportion to its touched footprint, not its capacity.
+ * (A dense array would not: thrashing workloads touch a few percent
+ * of the sets, but spread over nearly every region of them.) Sets are
+ * never removed; invalidation clears `valid` and resetAll() clears
+ * the table.
  */
 
 #ifndef CARVE_DRAMCACHE_ALLOY_CACHE_HH
 #define CARVE_DRAMCACHE_ALLOY_CACHE_HH
 
 #include <cstdint>
+#include <limits>
 #include <optional>
-#include <unordered_map>
 
+#include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -61,6 +66,8 @@ class AlloyCache
 
     /**
      * Install @p line_addr, displacing whatever occupied its set.
+     * A clean re-install of the resident line keeps it dirty, with
+     * the home its write recorded, if it was dirty.
      * @param epoch EPCTR value stored with the line
      * @param dirty install in dirty state (write-back mode)
      * @param home the line's home node (kept so a later displacement
@@ -75,9 +82,11 @@ class AlloyCache
 
     /**
      * Mark a resident, epoch-current line dirty (write-back mode).
+     * @param home the line's home node now (it may have migrated
+     *        since the line was filled)
      * @return true when the line was resident and marked
      */
-    bool markDirty(Addr line_addr, std::uint32_t epoch);
+    bool markDirty(Addr line_addr, std::uint32_t epoch, NodeId home);
 
     /** True when @p line_addr is resident (any epoch) and dirty. */
     bool lineDirty(Addr line_addr) const;
@@ -166,13 +175,16 @@ class AlloyCache
     {
         Addr tag;             ///< full line address
         std::uint32_t epoch;
-        NodeId home;          ///< the line's home node
+        std::uint8_t home;    ///< the line's home node
         bool valid;
         bool dirty;
     };
+    static_assert(sizeof(SetEntry) == 16);
+    static_assert(max_gpus <= std::numeric_limits<std::uint8_t>::max(),
+                  "SetEntry::home holds any GPU id");
 
     /** Sparse tag store keyed by set index (audit walks this). */
-    const std::unordered_map<std::uint64_t, SetEntry> &
+    const FlatMap<SetEntry> &
     setsMap() const
     {
         return sets_map_;
@@ -181,7 +193,7 @@ class AlloyCache
   private:
     std::uint64_t line_size_;
     std::uint64_t sets_;
-    std::unordered_map<std::uint64_t, SetEntry> sets_map_;
+    FlatMap<SetEntry> sets_map_;
 
     stats::Scalar probes_;
     stats::Scalar hits_;

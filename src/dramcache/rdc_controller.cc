@@ -157,6 +157,8 @@ RdcController::fetchArrived(Addr line_addr, NodeId home)
 {
     if (audit_)
         audit_->retire(audit::Boundary::RdcFetch);
+    // A write-back store that missed while this fetch was in flight
+    // may have installed a dirty copy already; insert() keeps it dirty.
     handleVictim(alloy_.insert(line_addr, epoch_.current(),
                                /* dirty */ false, home));
     // Fill write into the carve-out is posted.
@@ -200,7 +202,7 @@ RdcController::write(NodeId home, Addr line_addr)
         handleVictim(alloy_.insert(line_addr, epoch_.current(),
                                    /* dirty */ true, home));
     else
-        alloy_.markDirty(line_addr, epoch_.current());
+        alloy_.markDirty(line_addr, epoch_.current(), home);
     local_mem_.access(storageAddr(line_addr), AccessType::Write,
                       Callback());
     dirty_map_.markDirty(alloy_.setStorageOffset(line_addr), home);
@@ -309,26 +311,26 @@ RdcController::auditDirtyState(const std::string &prefix,
     std::vector<std::string> fails;
     const std::uint64_t line = cfg_.line_size;
 
-    for (const auto &[set, entry] : alloy_.setsMap()) {
-        if (!entry.valid || !entry.dirty)
-            continue;
+    alloy_.setsMap().forEach([&](Addr set, const AlloyCache::SetEntry &e) {
+        if (!e.valid || !e.dirty)
+            return;
         const Addr offset = set * line;
         if (!dirty_map_.isDirtyLine(offset)) {
             fails.push_back(prefix + ": dirty alloy set " +
                             std::to_string(set) +
                             " missing from the dirty map");
-        } else if (dirty_map_.dirtySets().at(offset) != entry.home) {
+        } else if (dirty_map_.dirtySets().at(offset) != e.home) {
             fails.push_back(prefix + ": dirty alloy set " +
                             std::to_string(set) +
                             " home disagrees with the dirty map");
         }
-    }
+    });
 
     for (const auto &[offset, home] : dirty_map_.dirtySets()) {
         (void)home;
-        const auto it = alloy_.setsMap().find(offset / line);
-        if (it == alloy_.setsMap().end() || !it->second.valid ||
-            !it->second.dirty) {
+        const AlloyCache::SetEntry *e =
+            alloy_.setsMap().find(offset / line);
+        if (!e || !e->valid || !e->dirty) {
             fails.push_back(prefix + ": dirty map set at offset " +
                             std::to_string(offset) +
                             " has no dirty alloy line");

@@ -12,7 +12,7 @@ MigrationEngine::MigrationEngine(const NumaConfig &cfg, PageTable &table)
 bool
 MigrationEngine::maybeMigrate(PageEntry &page, NodeId node)
 {
-    carve_assert(node < max_nodes);
+    carve_assert(node < max_gpus);
     if (!cfg_.migration || page.home == node ||
         page.home == cpu_node || page.home == invalid_node) {
         return false;
@@ -23,7 +23,7 @@ MigrationEngine::maybeMigrate(PageEntry &page, NodeId node)
         return false;
 
     std::uint32_t others = 0;
-    for (unsigned n = 0; n < max_nodes; ++n) {
+    for (unsigned n = 0; n < max_gpus; ++n) {
         if (n != node)
             others += page.access_counts[n];
     }

@@ -152,7 +152,7 @@ PageManager::commitWindow(Cycle now, const BulkChargeFn &charge)
         for (const RouteOp &op : s.route_log) {
             PageEntry &page = table_.entry(op.vpage);
             carve_assert(page.home != invalid_node);
-            if (op.node < max_nodes)
+            if (op.node < max_gpus)
                 ++page.access_counts[op.node];
 
             // Writes first: a store to a replicated read-only page

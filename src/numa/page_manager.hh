@@ -25,6 +25,7 @@
 #define CARVE_NUMA_PAGE_MANAGER_HH
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -128,6 +129,8 @@ class PageManager
         std::uint16_t touch_mask = 0;
         bool written = false;
     };
+    static_assert(max_gpus <= std::numeric_limits<std::uint16_t>::digits,
+                  "touch_mask holds one bit per GPU");
 
     /** One post-LLC access awaiting policy replay. */
     struct RouteOp

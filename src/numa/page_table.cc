@@ -8,9 +8,6 @@ PageTable::PageTable(const SystemConfig &cfg)
     : page_size_(cfg.page_size),
       homed_(cfg.num_gpus, 0), replicas_(cfg.num_gpus, 0)
 {
-    if (cfg.num_gpus > max_nodes)
-        fatal("PageTable: more GPUs (%u) than bitmask width (%u)",
-              cfg.num_gpus, max_nodes);
     const std::uint64_t visible = cfg.dram.capacity -
         (cfg.rdc.enabled ? cfg.rdc.size : 0);
     capacity_pages_ = visible / cfg.page_size;

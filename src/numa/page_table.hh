@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -17,9 +18,6 @@
 #include "common/types.hh"
 
 namespace carve {
-
-/** Maximum node count supported by the bitmask fields. */
-inline constexpr unsigned max_nodes = 16;
 
 /** Runtime state of one 2 MB virtual page. */
 struct PageEntry
@@ -37,7 +35,7 @@ struct PageEntry
      * the future). */
     NodeId prev_home = invalid_node;
     /** Post-LLC accesses per node since the last policy action. */
-    std::array<std::uint32_t, max_nodes> access_counts{};
+    std::array<std::uint32_t, max_gpus> access_counts{};
     /** Accesses while resident in CPU memory (Unified Memory). */
     std::uint32_t cpu_accesses = 0;
 
@@ -49,6 +47,9 @@ struct PageEntry
             (replica_mask & static_cast<std::uint16_t>(1u << node));
     }
 };
+
+static_assert(max_gpus <= std::numeric_limits<std::uint16_t>::digits,
+              "replica and touch masks hold one bit per GPU");
 
 /**
  * Lazily-populated table over the virtual address space, plus

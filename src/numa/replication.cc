@@ -15,7 +15,7 @@ ReplicationManager::ReplicationManager(const NumaConfig &cfg,
 bool
 ReplicationManager::maybeReplicate(PageEntry &page, NodeId node)
 {
-    carve_assert(node < max_nodes);
+    carve_assert(node < max_gpus);
     if (page.home == node || page.home == cpu_node ||
         page.localAt(node)) {
         return false;
@@ -59,7 +59,7 @@ ReplicationManager::onWrite(PageEntry &page, NodeId node)
     // Collapse: drop every replica; the page is demoted to a single
     // home copy and never replicated again (software cost of doing
     // this repeatedly is prohibitive -- Section II-C).
-    for (unsigned g = 0; g < max_nodes; ++g) {
+    for (unsigned g = 0; g < max_gpus; ++g) {
         if (page.replica_mask & (1u << g))
             table_.removeReplica(g);
     }

@@ -1,6 +1,7 @@
 #include "numa/sharing_profiler.hh"
 
 #include <bit>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -47,38 +48,40 @@ SharingProfiler::SharingProfiler(std::uint64_t page_size,
 void
 SharingProfiler::record(Addr addr, NodeId node, AccessType type)
 {
-    carve_assert(node < 16);
+    carve_assert(node < max_gpus);
     const auto bit = static_cast<std::uint16_t>(1u << node);
-    if (track_pages_) {
-        Entry &e = pages_[alignDown(addr, page_size_)];
+    const auto count = [bit, write = isWrite(type)](Entry &e) {
+        carve_assert(e.accesses < max_accesses);
         ++e.accesses;
-        if (isWrite(type))
+        if (write)
             e.writers |= bit;
         else
             e.readers |= bit;
-    }
-    if (track_lines_) {
-        Entry &e = lines_[alignDown(addr, line_size_)];
-        ++e.accesses;
-        if (isWrite(type))
-            e.writers |= bit;
-        else
-            e.readers |= bit;
-    }
+    };
+    if (track_pages_)
+        count(pages_[alignDown(addr, page_size_)]);
+    if (track_lines_)
+        count(lines_[alignDown(addr, line_size_)]);
 }
 
 void
 SharingProfiler::absorb(SharingProfiler &other)
 {
-    const auto merge = [](std::unordered_map<Addr, Entry> &into,
-                          std::unordered_map<Addr, Entry> &from) {
-        for (const auto &[addr, e] : from) {
-            Entry &dst = into[addr];
-            dst.accesses += e.accesses;
-            dst.readers |= e.readers;
-            dst.writers |= e.writers;
+    const auto merge = [](FlatMap<Entry> &into, FlatMap<Entry> &from) {
+        if (into.size() == 0) {
+            std::swap(into, from);
+        } else {
+            into.reserve(into.size() + from.size());
+            from.forEach([&into](Addr addr, const Entry &e) {
+                Entry &dst = into[addr];
+                carve_assert(e.accesses <= max_accesses - dst.accesses);
+                dst.accesses += e.accesses;
+                dst.readers |= e.readers;
+                dst.writers |= e.writers;
+            });
         }
-        from.clear();
+        // Free the storage, which clear() would keep.
+        from = FlatMap<Entry>();
     };
     merge(pages_, other.pages_);
     merge(lines_, other.lines_);
@@ -95,10 +98,10 @@ SharingProfiler::classify(const Entry &e)
 }
 
 SharingBreakdown
-SharingProfiler::breakdown(const std::unordered_map<Addr, Entry> &map)
+SharingProfiler::breakdown(const FlatMap<Entry> &map)
 {
     SharingBreakdown b;
-    for (const auto &[addr, e] : map) {
+    map.forEach([&b](Addr, const Entry &e) {
         switch (classify(e)) {
           case SharingClass::Private:
             b.private_accesses += e.accesses;
@@ -110,20 +113,20 @@ SharingProfiler::breakdown(const std::unordered_map<Addr, Entry> &map)
             b.read_write_shared += e.accesses;
             break;
         }
-    }
+    });
     return b;
 }
 
 std::uint64_t
-SharingProfiler::sharedBytes(const std::unordered_map<Addr, Entry> &map,
+SharingProfiler::sharedBytes(const FlatMap<Entry> &map,
                              std::uint64_t granule)
 {
     std::uint64_t n = 0;
-    for (const auto &[addr, e] : map) {
+    map.forEach([&n](Addr, const Entry &e) {
         if (std::popcount(
                 static_cast<std::uint16_t>(e.readers | e.writers)) > 1)
             ++n;
-    }
+    });
     return n * granule;
 }
 
@@ -160,17 +163,15 @@ SharingProfiler::totalPageFootprint() const
 SharingClass
 SharingProfiler::pageClass(Addr addr) const
 {
-    const auto it = pages_.find(alignDown(addr, page_size_));
-    return it == pages_.end() ? SharingClass::Private
-                              : classify(it->second);
+    const Entry *e = pages_.find(alignDown(addr, page_size_));
+    return e ? classify(*e) : SharingClass::Private;
 }
 
 SharingClass
 SharingProfiler::lineClass(Addr addr) const
 {
-    const auto it = lines_.find(alignDown(addr, line_size_));
-    return it == lines_.end() ? SharingClass::Private
-                              : classify(it->second);
+    const Entry *e = lines_.find(alignDown(addr, line_size_));
+    return e ? classify(*e) : SharingClass::Private;
 }
 
 void

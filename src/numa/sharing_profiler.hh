@@ -5,14 +5,22 @@
  * (128 B) granularity — the analysis behind Figures 4 and 5 of the
  * paper, which show that most page-level read-write sharing is *false*
  * sharing that disappears at line granularity.
+ *
+ * Every access passes through record(), so the per-page and per-line
+ * entries (an access count plus reader and writer node masks) live in
+ * FlatMaps keyed by the aligned address. Entries are never removed
+ * one at a time; absorb() empties a shard profiler whole. All
+ * statistics are sums or counts over the entries, so they do not
+ * depend on the tables' slot order.
  */
 
 #ifndef CARVE_NUMA_SHARING_PROFILER_HH
 #define CARVE_NUMA_SHARING_PROFILER_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 
+#include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -68,7 +76,8 @@ class SharingProfiler
     /** Record one access by @p node. */
     void record(Addr addr, NodeId node, AccessType type);
 
-    /** Fold @p other's entries into this profiler and clear @p other.
+    /** Fold @p other's entries into this profiler and empty @p other,
+     * freeing its tables.
      * Entry updates commute (counts sum, masks OR), so per-domain
      * shard profilers merged in any fixed order reproduce the counts
      * a single shared profiler would have accumulated. */
@@ -102,24 +111,31 @@ class SharingProfiler
   private:
     struct Entry
     {
-        std::uint64_t accesses = 0;
+        /** 32 bits keep a table slot at 16 B (most of the memory of
+         * a profile_lines run); record() and absorb() panic rather
+         * than wrap it. */
+        std::uint32_t accesses = 0;
         std::uint16_t readers = 0;  ///< bitmask of reading nodes
         std::uint16_t writers = 0;  ///< bitmask of writing nodes
     };
+    static_assert(sizeof(Entry) == 8);
+    static_assert(max_gpus <= std::numeric_limits<std::uint16_t>::digits,
+                  "node masks hold one bit per GPU");
+
+    static constexpr std::uint32_t max_accesses =
+        std::numeric_limits<std::uint32_t>::max();
 
     static SharingClass classify(const Entry &e);
-    static SharingBreakdown breakdown(
-        const std::unordered_map<Addr, Entry> &map);
-    static std::uint64_t sharedBytes(
-        const std::unordered_map<Addr, Entry> &map,
-        std::uint64_t granule);
+    static SharingBreakdown breakdown(const FlatMap<Entry> &map);
+    static std::uint64_t sharedBytes(const FlatMap<Entry> &map,
+                                     std::uint64_t granule);
 
     std::uint64_t page_size_;
     std::uint64_t line_size_;
     bool track_pages_;
     bool track_lines_;
-    std::unordered_map<Addr, Entry> pages_;
-    std::unordered_map<Addr, Entry> lines_;
+    FlatMap<Entry> pages_;
+    FlatMap<Entry> lines_;
 };
 
 } // namespace carve

@@ -33,6 +33,28 @@ TEST(Imst, FirstAccessBecomesPrivateToRequester)
     EXPECT_FALSE(inval);
 }
 
+TEST(Imst, OwnerRoundTripsForEveryNode)
+{
+    // The owner is a packed 6-bit field: every GPU id must survive it.
+    Imst imst(0, 0.0);
+    bool inval = false;
+    for (NodeId n = 0; n < max_gpus; ++n) {
+        const Addr line = 0x1000 + n * 128;
+        imst.onAccess(line, n, AccessType::Write, inval);
+        EXPECT_EQ(imst.state(line), SharingState::Private) << n;
+        EXPECT_EQ(imst.owner(line), n);
+    }
+    for (NodeId n = 0; n < max_gpus; ++n) {
+        const Addr line = 0x1000 + n * 128;
+        imst.onAccess(line, n, AccessType::Write, inval);
+        EXPECT_FALSE(inval) << "owner " << n << " was not recognized";
+        // A second node clears the owner.
+        imst.onAccess(line, (n + 1) % max_gpus, AccessType::Read, inval);
+        EXPECT_EQ(imst.owner(line), invalid_node);
+    }
+    EXPECT_EQ(imst.trackedLines(), max_gpus);
+}
+
 TEST(Imst, OwnerWritesNeverBroadcast)
 {
     Imst imst(0, 0.0);  // no demotion noise

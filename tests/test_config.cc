@@ -233,6 +233,16 @@ TEST(ConfigDeathTest, ValidationCatchesZeroCacheMshrs)
                 "l1.mshrs");
 }
 
+TEST(ConfigDeathTest, ValidationCatchesTooManyGpus)
+{
+    SystemConfig cfg;
+    cfg.applyOverride("num_gpus", std::to_string(max_gpus));
+    cfg.validate();  // the largest supported system is fine
+    cfg.applyOverride("num_gpus", std::to_string(max_gpus + 1));
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "num_gpus");
+}
+
 TEST(ConfigDeathTest, ValidationCatchesBadSpill)
 {
     SystemConfig cfg;

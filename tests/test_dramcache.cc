@@ -94,6 +94,35 @@ TEST(Alloy, ReinsertSameLineIsNotAConflict)
     EXPECT_EQ(a.lookup(0, 1), RdcLookup::Hit);
 }
 
+TEST(Alloy, CleanReinsertKeepsTheLineDirty)
+{
+    AlloyCache a(16 * 128, 128);
+    a.insert(0x100, 0, /* dirty */ true, 1);
+    // The fill was issued before the page moved from node 2 to 1; the
+    // write's home is the one a write-back must use.
+    EXPECT_FALSE(a.insert(0x100, 0, /* dirty */ false, 2).has_value());
+    EXPECT_TRUE(a.lineDirty(0x100));
+    // A different line in the set still displaces it.
+    const auto victim = a.insert(0x100 + 16 * 128, 0);
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_TRUE(victim->dirty);
+    EXPECT_EQ(victim->home, 1u);
+    EXPECT_FALSE(a.lineDirty(0x100 + 16 * 128));
+}
+
+TEST(Alloy, MarkDirtyRecordsTheCurrentHome)
+{
+    // Filled clean while its page lived on node 2, written after the
+    // page moved to node 3.
+    AlloyCache a(16 * 128, 128);
+    a.insert(0x100, 0, /* dirty */ false, 2);
+    EXPECT_TRUE(a.markDirty(0x100, 0, 3));
+    const auto victim = a.insert(0x100 + 16 * 128, 0);
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_TRUE(victim->dirty);
+    EXPECT_EQ(victim->home, 3u);
+}
+
 TEST(Alloy, InvalidateLine)
 {
     AlloyCache a(16 * 128, 128);
@@ -115,9 +144,9 @@ TEST(Alloy, MarkDirtyOnlyOnEpochCurrentLines)
 {
     AlloyCache a(16 * 128, 128);
     a.insert(0x100, 3);
-    EXPECT_TRUE(a.markDirty(0x100, 3));
-    EXPECT_FALSE(a.markDirty(0x100, 4));
-    EXPECT_FALSE(a.markDirty(0x200, 3));
+    EXPECT_TRUE(a.markDirty(0x100, 3, 1));
+    EXPECT_FALSE(a.markDirty(0x100, 4, 1));
+    EXPECT_FALSE(a.markDirty(0x200, 3, 1));
 }
 
 TEST(Alloy, ResetAllClearsEverything)
@@ -153,6 +182,49 @@ TEST(Alloy, DisplacedDirtyVictimIsReturned)
     EXPECT_EQ(victim->tag, 0u);
     EXPECT_EQ(a.dirtyEvictions(), 1u);
     EXPECT_EQ(a.conflictEvictions(), 1u);
+}
+
+TEST(Alloy, DirtyVictimKeepsTheHighestHome)
+{
+    // SetEntry packs the home into one byte; the largest GPU id must
+    // survive the round trip into a victim.
+    AlloyCache a(16 * 128, 128);
+    a.insert(0, 0, /* dirty */ true, /* home */ max_gpus - 1);
+    const auto victim = a.insert(16ull * 128, 0);
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_TRUE(victim->dirty);
+    EXPECT_EQ(victim->home, 15u);
+}
+
+TEST(Alloy, EntryKeepsTheWidestEpoch)
+{
+    // The EPCTR is 20 bits wide by default.
+    const std::uint32_t epoch = (1u << 20) - 1;
+    AlloyCache a(16 * 128, 128);
+    a.insert(0x80, epoch);
+    EXPECT_TRUE(a.peek(0x80, epoch));
+    EXPECT_EQ(a.lookup(0x80, epoch), RdcLookup::Hit);
+    EXPECT_EQ(a.lookup(0x80, epoch - 1), RdcLookup::StaleEpoch);
+    EXPECT_TRUE(a.markDirty(0x80, epoch, 0));
+    EXPECT_TRUE(a.lineDirty(0x80));
+}
+
+TEST(Alloy, TouchedSetsSurviveInvalidation)
+{
+    AlloyCache a(16 * 128, 128);
+    a.insert(0 * 128, 0);
+    a.insert(1 * 128, 0);
+    a.insert(2 * 128, 0);
+    EXPECT_EQ(a.touchedSets(), 3u);
+    EXPECT_TRUE(a.invalidateLine(1 * 128));
+    EXPECT_FALSE(a.peek(1 * 128, 0));
+    // Invalidation clears the entry's valid bit; the set stays
+    // touched.
+    EXPECT_EQ(a.touchedSets(), 3u);
+    a.insert(17 * 128, 0);  // refills set 1
+    EXPECT_EQ(a.touchedSets(), 3u);
+    a.resetAll();
+    EXPECT_EQ(a.touchedSets(), 0u);
 }
 
 TEST(Alloy, CleanVictimOwesNoWriteback)

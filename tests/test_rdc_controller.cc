@@ -291,6 +291,45 @@ TEST_F(RdcWritebackFixture, DirtyStateAuditIsCleanThroughout)
     EXPECT_TRUE(fails.empty());
 }
 
+TEST_F(RdcWritebackFixture, FillDoesNotCleanAWriteThatRacedIt)
+{
+    // The store misses while the read's fetch is in flight and
+    // installs a dirty copy; the later fill must leave it dirty.
+    rdc->read(1, 0x5000, {});
+    rdc->write(1, 0x5000);
+    eq.run();
+    EXPECT_EQ(fetches, 1u);
+    EXPECT_TRUE(rdc->contains(0x5000));
+    EXPECT_EQ(rdc->dirtyMap().dirtyLines(), 1u);
+    std::vector<std::string> fails;
+    rdc->auditDirtyState("rdc", fails);
+    EXPECT_TRUE(fails.empty()) << fails.front();
+    // The boundary flush still sends the store's data home.
+    EXPECT_GT(rdc->kernelBoundarySwc(), 0u);
+    EXPECT_EQ(flushes, 1u);
+}
+
+TEST_F(RdcWritebackFixture, DirtyLineKeepsTheHomeOfItsLatestWrite)
+{
+    // The fetch leaves while the page lives on node 1; the page then
+    // moves to node 2 and the store that races the fetch uses it.
+    rdc->read(1, 0x5000, {});
+    rdc->write(2, 0x5000);
+    eq.run();
+    std::vector<std::string> fails;
+    rdc->auditDirtyState("rdc", fails);
+    EXPECT_TRUE(fails.empty()) << fails.front();
+    // A store that hits after a move to node 3 records that home.
+    rdc->write(3, 0x5000);
+    rdc->auditDirtyState("rdc", fails);
+    EXPECT_TRUE(fails.empty()) << fails.front();
+    // Displacing the line writes it back to node 3.
+    rdc->write(1, 0x5000 + cfg.rdc.size);
+    EXPECT_EQ(remote_writes, 1u);
+    EXPECT_EQ(last_write_home, 3u);
+    EXPECT_EQ(last_write_line, 0x5000u);
+}
+
 struct RdcPredictorFixture : public RdcFixture
 {
     RdcPredictorFixture() { cfg.rdc.hit_predictor = true; }
