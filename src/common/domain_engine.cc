@@ -16,8 +16,7 @@ thread_local unsigned current_shard = barrier_shard;
 
 namespace {
 
-/** Events between wall-clock checks (matches the serial engine's
- * historical amortization). */
+/** Events between wall-clock checks. */
 constexpr std::uint64_t clock_check_interval = 8192;
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -124,18 +123,26 @@ DomainEngine::runAssigned(unsigned worker, unsigned num_workers,
                           Cycle wend,
                           const std::function<bool()> *per_event)
 {
+    // Leave the thread outside any domain on every exit, a throwing
+    // event included: a stale shard would divert the next engine's
+    // pre-run posts into an outbox.
+    struct LeaveDomain
+    {
+        ~LeaveDomain()
+        {
+            engine_ctx::current_shard = engine_ctx::barrier_shard;
+        }
+    } leave;
     for (unsigned d = worker; d < queues_.size(); d += num_workers) {
         engine_ctx::current_shard = d;
         queues_[d]->runWindow(wend, per_event);
     }
-    engine_ctx::current_shard = engine_ctx::barrier_shard;
 }
 
 void
 DomainEngine::windowBarrier(Cycle wend, const Hooks &hooks)
 {
     in_barrier_ = true;
-    engine_ctx::current_shard = engine_ctx::barrier_shard;
 
     // Self-profiling: sample per-domain occupancy and the outbox
     // depths before the exchange clears them. Everything here is a
@@ -199,40 +206,12 @@ DomainEngine::windowBarrier(Cycle wend, const Hooks &hooks)
 }
 
 void
-DomainEngine::runSerial(const Hooks &hooks)
+DomainEngine::run(const Hooks &hooks)
 {
-    const auto deadline = std::chrono::steady_clock::now() +
-        std::chrono::duration<double>(hooks.max_wall_seconds);
-    std::uint64_t until_check = clock_check_interval;
-    const std::function<bool()> wall_pred = [&] {
-        if (--until_check > 0)
-            return true;
-        until_check = clock_check_interval;
-        if (std::chrono::steady_clock::now() < deadline)
-            return true;
-        requestStop();
-        return false;
-    };
-    const std::function<bool()> *per_event =
-        hooks.max_wall_seconds > 0.0 ? &wall_pred : nullptr;
-
-    for (;;) {
-        const Cycle wend = barrier_tick_ + lookahead_;
-        in_barrier_ = false;
-        runAssigned(0, 1, wend, per_event);
-        windowBarrier(wend, hooks);
-        if (stopRequested())
-            break;
-        if (hooks.keep_going && !hooks.keep_going(barrier_tick_))
-            break;
-        if (quiescent())
-            break;
-    }
-}
-
-void
-DomainEngine::runParallel(const Hooks &hooks, unsigned num_workers)
-{
+    stop_requested_.store(false, std::memory_order_relaxed);
+    const unsigned num_workers =
+        mode_ == SimEngine::Parallel ? std::min(threads_, numDomains())
+                                     : 1u;
     const auto deadline = std::chrono::steady_clock::now() +
         std::chrono::duration<double>(hooks.max_wall_seconds);
 
@@ -246,13 +225,17 @@ DomainEngine::runParallel(const Hooks &hooks, unsigned num_workers)
     // private padded shard; the shards are merged into the profile in
     // worker-id order only after the workers have been joined, so no
     // shard is ever read while its owner might still write it.
-    const bool time_waits = profile_ && profile_->host_timing;
+    const bool time_waits =
+        num_workers > 1 && profile_ && profile_->host_timing;
     struct alignas(64) WaitShard
     {
         telemetry::Histogram h;
     };
     std::vector<WaitShard> waits(time_waits ? num_workers : 0);
-    const auto timedWait = [&](SpinBarrier &b, unsigned id) {
+    // A lone worker runs the loop inline and waits on no barrier.
+    const auto sync = [&](SpinBarrier &b, unsigned id) {
+        if (num_workers == 1)
+            return;
         if (!time_waits) {
             b.arriveAndWait();
             return;
@@ -265,11 +248,12 @@ DomainEngine::runParallel(const Hooks &hooks, unsigned num_workers)
                 .count()));
     };
 
-    // Per-worker window body. The wall-clock predicate is created in
-    // the worker's own frame so its amortization counter is private.
-    const auto workerWindow = [&](unsigned id) {
-        std::uint64_t until_check = clock_check_interval;
-        const std::function<bool()> wall_pred = [&] {
+    // Wall-clock budget check, one per worker so its amortization
+    // counter is private; empty when there is no budget.
+    const auto wallCheck = [&]() -> std::function<bool()> {
+        if (hooks.max_wall_seconds <= 0.0)
+            return {};
+        return [&, until_check = clock_check_interval]() mutable {
             if (--until_check > 0)
                 return true;
             until_check = clock_check_interval;
@@ -278,13 +262,19 @@ DomainEngine::runParallel(const Hooks &hooks, unsigned num_workers)
             requestStop();
             return false;
         };
-        const std::function<bool()> *per_event =
-            hooks.max_wall_seconds > 0.0 ? &wall_pred : nullptr;
+    };
+
+    // One worker's share of a window. A failure, fatal()/panic()
+    // included, is parked in errors[id] and surfaced from this thread
+    // once every worker has been joined.
+    const auto workerWindow = [&](unsigned id,
+                                  const std::function<bool()> &wall) {
         try {
-            runAssigned(id, num_workers, window_end, per_event);
+            ScopedErrorCapture capture;
+            runAssigned(id, num_workers, window_end,
+                        wall ? &wall : nullptr);
         } catch (...) {
             errors[id] = std::current_exception();
-            engine_ctx::current_shard = engine_ctx::barrier_shard;
             requestStop();
         }
     };
@@ -293,38 +283,43 @@ DomainEngine::runParallel(const Hooks &hooks, unsigned num_workers)
     workers.reserve(num_workers - 1);
     for (unsigned id = 1; id < num_workers; ++id) {
         workers.emplace_back([&, id] {
-            // fatal()/panic() on a worker must not kill the process
-            // before the coordinator can report it from the main
-            // thread with the caller's own capture semantics.
-            ScopedErrorCapture capture;
+            const std::function<bool()> wall = wallCheck();
             for (;;) {
-                timedWait(start, id);
+                sync(start, id);
                 if (shutdown.load(std::memory_order_acquire))
                     return;
-                workerWindow(id);
-                timedWait(done, id);
+                workerWindow(id, wall);
+                sync(done, id);
             }
         });
     }
 
     const auto stopWorkers = [&] {
+        if (workers.empty())
+            return;
         shutdown.store(true, std::memory_order_release);
         start.arriveAndWait();
         for (std::thread &t : workers)
             t.join();
         workers.clear();
     };
+    const auto failed = [&] {
+        return std::any_of(errors.begin(), errors.end(),
+                           [](const std::exception_ptr &e) {
+                               return e != nullptr;
+                           });
+    };
 
+    const std::function<bool()> wall = wallCheck();
     try {
         for (;;) {
             window_end = barrier_tick_ + lookahead_;
             in_barrier_ = false;
-            start.arriveAndWait();
-            workerWindow(0);
-            timedWait(done, 0);
-            for (const std::exception_ptr &e : errors)
-                if (e)
-                    throw SimAbortError(LogLevel::Panic, "");
+            sync(start, 0);
+            workerWindow(0, wall);
+            sync(done, 0);
+            if (failed())
+                break;
             windowBarrier(window_end, hooks);
             if (stopRequested())
                 break;
@@ -338,15 +333,16 @@ DomainEngine::runParallel(const Hooks &hooks, unsigned num_workers)
         throw;
     }
     stopWorkers();
+    in_barrier_ = false;
 
     if (time_waits)
         for (const WaitShard &w : waits)
             profile_->barrier_wait_ns.merge(w.h);
 
-    // Surface the first worker failure (lowest worker id) from the
-    // main thread, preserving the caller's capture semantics: rethrow
-    // under an active ScopedErrorCapture, re-issue as fatal()/panic()
-    // otherwise (the capture on the worker diverted the message).
+    // Surface the first failure (lowest worker id) with its own
+    // message and level: rethrow under the caller's active
+    // ScopedErrorCapture, re-issue as fatal()/panic() otherwise (the
+    // window's capture diverted the message).
     for (const std::exception_ptr &e : errors) {
         if (!e)
             continue;
@@ -360,22 +356,6 @@ DomainEngine::runParallel(const Hooks &hooks, unsigned num_workers)
             panic("%s", abort.what());
         }
     }
-}
-
-void
-DomainEngine::run(const Hooks &hooks)
-{
-    stop_requested_.store(false, std::memory_order_relaxed);
-    const unsigned workers =
-        mode_ == SimEngine::Parallel
-            ? std::min(threads_, numDomains())
-            : 1u;
-    if (workers > 1)
-        runParallel(hooks, workers);
-    else
-        runSerial(hooks);
-    in_barrier_ = false;
-    engine_ctx::current_shard = engine_ctx::barrier_shard;
 }
 
 } // namespace carve

@@ -11,13 +11,15 @@
  * produces — is byte-identical whether the domains run on one thread
  * or many.
  *
- * SimEngine::Serial runs the same windowed algorithm single-threaded;
- * SimEngine::Parallel fans the domains out over sim_threads persistent
- * workers joined by a spin-then-yield sense-reversing barrier (the
- * window cadence is a few thousand barriers per million cycles, far
- * too hot for a mutex/condvar barrier). Identity between the two modes
- * holds by construction: thread assignment never influences event
- * order, only which core fires it.
+ * There is one window loop. SimEngine::Serial runs it with one
+ * worker, SimEngine::Parallel with sim_threads workers (clamped to the
+ * domain count). One worker runs inline on the calling thread; more
+ * fan the domains out over persistent threads joined by a
+ * spin-then-yield sense-reversing barrier (the window cadence is a few
+ * thousand barriers per million cycles, far too hot for a
+ * mutex/condvar barrier). Identity across worker counts holds by
+ * construction: thread assignment never influences event order, only
+ * which core fires it.
  */
 
 #ifndef CARVE_COMMON_DOMAIN_ENGINE_HH
@@ -129,7 +131,7 @@ class DomainEngine
      * @param num_gpus GPU domain count (the system domain is added)
      * @param lookahead window width in cycles (>= 1); every
      *        cross-domain post must land at least this far ahead
-     * @param mode Serial or Parallel execution of the same algorithm
+     * @param mode Serial (one worker) or Parallel (@p threads)
      * @param threads worker count for Parallel (clamped to domains)
      */
     DomainEngine(unsigned num_gpus, Cycle lookahead, SimEngine mode,
@@ -199,7 +201,11 @@ class DomainEngine
     }
 
     /** Execute windows until keep_going declines, stop is requested,
-     * or the whole system quiesces. */
+     * an event fails, or the whole system quiesces. A failing event
+     * (fatal()/panic() included) is surfaced from the calling thread
+     * after every worker has been joined, with its own message and
+     * level: rethrown under an active ScopedErrorCapture, re-issued
+     * otherwise. */
     void run(const Hooks &hooks);
 
     /**
@@ -256,14 +262,14 @@ class DomainEngine
         std::atomic<std::uint32_t> phase_{0};
     };
 
-    /** Run every domain assigned to @p worker for this window. */
+    /** Run every domain assigned to @p worker for this window; the
+     * thread leaves with current_shard == barrier_shard, even when an
+     * event throws. */
     void runAssigned(unsigned worker, unsigned num_workers, Cycle wend,
                      const std::function<bool()> *per_event);
     /** Exchange outboxes into destination queues in (tick, src, seq)
      * order, then run the barrier hook and actions. */
     void windowBarrier(Cycle wend, const Hooks &hooks);
-    void runSerial(const Hooks &hooks);
-    void runParallel(const Hooks &hooks, unsigned num_workers);
 
     const Cycle lookahead_;
     const SimEngine mode_;

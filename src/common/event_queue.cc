@@ -1,8 +1,6 @@
 #include "common/event_queue.hh"
 
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "common/logging.hh"
@@ -14,34 +12,9 @@ namespace {
 /** Nodes per pool chunk: amortizes allocation without hoarding. */
 constexpr std::size_t pool_chunk = 512;
 
-EventEngine
-engineFromEnv()
-{
-    const char *v = std::getenv("CARVE_EVENTQ");
-    if (!v || !*v || std::strcmp(v, "calendar") == 0)
-        return EventEngine::Calendar;
-    if (std::strcmp(v, "heap") == 0)
-        return EventEngine::Heap;
-    // "serial"/"parallel" select the *simulation* engine (the unified
-    // SimEngine enum, resolved in run()); the queue keeps its default
-    // implementation under either.
-    if (std::strcmp(v, "serial") == 0 ||
-        std::strcmp(v, "parallel") == 0) {
-        return EventEngine::Calendar;
-    }
-    fatal("CARVE_EVENTQ: unknown engine '%s' "
-          "(valid: calendar, heap, serial, parallel)", v);
-}
-
 } // namespace
 
-EventQueue::EventQueue() : EventQueue(engineFromEnv()) {}
-
-EventQueue::EventQueue(EventEngine engine) : engine_(engine)
-{
-    if (engine_ == EventEngine::Calendar)
-        ring_.resize(horizon);
-}
+EventQueue::EventQueue() : ring_(horizon) {}
 
 EventQueue::~EventQueue() = default;
 
@@ -99,7 +72,7 @@ EventQueue::schedule(Cycle when, EventFn fn)
     n->when = when;
     n->seq = next_seq_++;
     n->fn = std::move(fn);
-    if (engine_ == EventEngine::Calendar && when < window_end_)
+    if (when < window_end_)
         pushRing(n);
     else
         far_.push(n);
@@ -111,8 +84,6 @@ EventQueue::advanceTo(Cycle t)
     if (t == now_)
         return;  // same-tick cascade: window already correct
     now_ = t;
-    if (engine_ != EventEngine::Calendar)
-        return;
     window_end_ = t + horizon;
     // Restore the invariant that every far event lies beyond the
     // window: anything entering it migrates to the ring now, before
@@ -128,11 +99,6 @@ EventQueue::advanceTo(Cycle t)
 EventQueue::EventNode *
 EventQueue::popNext()
 {
-    if (engine_ != EventEngine::Calendar) {
-        EventNode *n = far_.top();
-        far_.pop();
-        return n;
-    }
     if (ring_count_ == 0 && !far_.empty()) {
         // Ring drained: jump straight to the earliest far event,
         // migrating its whole window in.
@@ -239,7 +205,7 @@ EventQueue::step()
 Cycle
 EventQueue::nextTick() const
 {
-    if (engine_ != EventEngine::Calendar || ring_count_ == 0)
+    if (ring_count_ == 0)
         return far_.empty() ? no_event : far_.top()->when;
 
     // Ring events always precede far events (the far heap only holds

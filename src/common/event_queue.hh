@@ -15,17 +15,12 @@
  *    occur on hot paths.
  *  - Event nodes come from a chunked free list, so steady-state
  *    scheduling performs no allocation at all.
- *  - The default engine is a two-level calendar queue: a near-horizon
- *    ring of per-cycle buckets gives O(1) schedule/fire for the dense
+ *  - The queue is a two-level calendar queue: a near-horizon ring of
+ *    per-cycle buckets gives O(1) schedule/fire for the dense
  *    short-delay traffic the simulator generates, and a far-horizon
  *    binary heap absorbs the rare long-delay events (kernel launches,
  *    watchdogs). Events migrate heap -> ring as simulated time
  *    advances, preserving exact (tick, seq) order.
- *
- * The legacy single-heap engine is kept behind the CARVE_EVENTQ=heap
- * environment switch (or EventEngine::Heap) purely so tests can assert
- * the two engines replay byte-identically; it will be removed once the
- * calendar engine has soaked.
  */
 
 #ifndef CARVE_COMMON_EVENT_QUEUE_HH
@@ -197,15 +192,9 @@ bindEvent(T *obj, Bound... bound)
         obj, std::tuple<Bound...>(bound...)});
 }
 
-/** Selectable event-engine implementation (see file comment). */
-enum class EventEngine : std::uint8_t {
-    Calendar,  ///< two-level bucketed calendar queue (default)
-    Heap,      ///< legacy single binary heap (A/B testing only)
-};
-
 /**
  * The event queue, keyed by (tick, sequence). schedule()/fire are
- * allocation-free in steady state; see file comment for the engine
+ * allocation-free in steady state; see file comment for the queue
  * design.
  */
 class EventQueue
@@ -215,10 +204,7 @@ class EventQueue
      * std::function callbacks; EventFn absorbs them on schedule. */
     using Callback = std::function<void()>;
 
-    /** Engine chosen by the CARVE_EVENTQ environment variable
-     * ("calendar" default, "heap" for the legacy engine). */
     EventQueue();
-    explicit EventQueue(EventEngine engine);
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -226,9 +212,6 @@ class EventQueue
 
     /** Current simulation time in cycles. */
     Cycle now() const { return now_; }
-
-    /** Engine this queue was constructed with. */
-    EventEngine engine() const { return engine_; }
 
     /**
      * Schedule @p fn to run at absolute time @p when.
@@ -270,6 +253,12 @@ class EventQueue
 
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return executed_; }
+
+    /** Near-window width in cycles (power of two). Events at or past
+     * now() + horizon go to the far heap; in practice component
+     * delays are tens of cycles, so >99% of traffic stays in the
+     * ring. */
+    static constexpr std::size_t horizon = 1024;
 
     /** nextTick() result when no events are pending. */
     static constexpr Cycle no_event = ~Cycle{0};
@@ -324,10 +313,6 @@ class EventQueue
         EventNode *tail = nullptr;
     };
 
-    /** Near-window width in cycles (power of two). Delays beyond this
-     * go to the far heap; in practice component delays are tens of
-     * cycles, so >99% of traffic stays in the ring. */
-    static constexpr std::size_t horizon = 1024;
     static constexpr std::size_t occ_words = horizon / 64;
 
     EventNode *allocNode();
@@ -342,7 +327,6 @@ class EventQueue
     EventNode *popScan(std::size_t start);
     void fireNext();
 
-    EventEngine engine_ = EventEngine::Calendar;
     Cycle now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
@@ -356,7 +340,7 @@ class EventQueue
     std::size_t ring_count_ = 0;
     Cycle window_end_ = horizon;
 
-    // Far horizon (and the entire queue in Heap mode).
+    // Far horizon: events at or past window_end_.
     std::priority_queue<EventNode *, std::vector<EventNode *>,
                         FarLater>
         far_;

@@ -1,22 +1,24 @@
 /** @file Per-GPU event-domain engine: serial-vs-parallel byte
  * identity over the full preset grid, the conservative lookahead
- * window, and sim_threads validation.
+ * window, how a failing event surfaces, and sim_threads validation.
  *
- * The contract under test is the PR's headline: SimEngine::Serial and
- * SimEngine::Parallel run the same windowed algorithm, so the entire
- * stat tree — every counter in every component — must serialize to
- * identical bytes at any thread count.
+ * The central contract: SimEngine::Serial and SimEngine::Parallel run
+ * the same window loop, so the entire stat tree — every counter in
+ * every component — must serialize to identical bytes at any thread
+ * count.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/domain_engine.hh"
+#include "common/logging.hh"
 #include "core/simulator.hh"
 #include "core/system_preset.hh"
 #include "harness/stats_json.hh"
@@ -223,12 +225,11 @@ TEST(EngineTelemetry, HostTimingPopulatesBarrierWaitsDeterministicallyNamed)
         }
         return std::uint64_t{0};
     };
-    // The serial engine has no window barriers to wait at.
+    // One worker runs the window loop inline and waits on no barrier.
     EXPECT_EQ(statValue(serial, "engine.barrier_wait_ns.count"), 0u);
     // The parallel engine crosses two barriers (start + done) per
-    // window per worker; with real multi-worker execution (a single
-    // worker degenerates to the serial loop) and any windows run,
-    // the count must be nonzero.
+    // window per worker; with more than one worker and any windows
+    // run, the count must be nonzero.
     if (threadCounts().back() > 1 &&
         statValue(parallel, "engine.windows") > 0) {
         EXPECT_GT(statValue(parallel,
@@ -253,6 +254,82 @@ TEST(DomainEngine, LookaheadWindowTracksMinimumLinkLatency)
     EXPECT_GE(narrow, cfg.link.latency + 1);
     cfg.link.latency = 0;
     EXPECT_GE(DomainEngine::lookaheadWindow(cfg), 1u);
+}
+
+// ---- failing events ---------------------------------------------------
+
+/** Worker counts 1/2/4, minus those above this host's hardware
+ * threads (reported as skipped). */
+std::vector<unsigned>
+failureWorkerCounts()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    std::vector<unsigned> counts;
+    for (unsigned n : {1u, 2u, 4u}) {
+        if (hw != 0 && n > hw) {
+            std::printf("[  SKIPPED ] %u workers: host has %u hardware "
+                        "threads\n", n, hw);
+            continue;
+        }
+        counts.push_back(n);
+    }
+    return counts;
+}
+
+/** Run a two-GPU engine (three domains) on @p workers workers with a
+ * fatal() posted into domain 1. */
+void
+runExplodingEngine(unsigned workers)
+{
+    DomainEngine engine(2, 10, SimEngine::Parallel, workers);
+    engine.post(1, 5, [] { fatal("domain-one exploded"); });
+    engine.run(DomainEngine::Hooks{});
+}
+
+TEST(DomainEngine, WorkerFailureKeepsItsMessageAndLevel)
+{
+    for (const unsigned workers : failureWorkerCounts()) {
+        SCOPED_TRACE(::testing::Message() << workers << " workers");
+        ScopedErrorCapture capture;
+        try {
+            runExplodingEngine(workers);
+            ADD_FAILURE() << "run() returned after a fatal event";
+        } catch (const SimAbortError &e) {
+            EXPECT_EQ(e.level(), LogLevel::Fatal);
+            EXPECT_STREQ(e.what(), "domain-one exploded");
+        }
+    }
+}
+
+TEST(DomainEngineDeathTest, WorkerFailureWithoutCaptureKeepsItsMessage)
+{
+    for (const unsigned workers : failureWorkerCounts()) {
+        SCOPED_TRACE(::testing::Message() << workers << " workers");
+        EXPECT_EXIT(runExplodingEngine(workers),
+                    ::testing::ExitedWithCode(1),
+                    "fatal: domain-one exploded");
+    }
+}
+
+TEST(DomainEngine, FailedRunLeavesTheThreadOutsideAnyDomain)
+{
+    for (const unsigned workers : failureWorkerCounts()) {
+        SCOPED_TRACE(::testing::Message() << workers << " workers");
+        {
+            ScopedErrorCapture capture;
+            EXPECT_THROW(runExplodingEngine(workers), SimAbortError);
+        }
+        EXPECT_EQ(engine_ctx::current_shard, engine_ctx::barrier_shard);
+
+        // A fresh engine on this thread: its pre-run post is
+        // scheduled directly, not buffered as if domain 1 sent it.
+        DomainEngine fresh(2, 10, SimEngine::Parallel, workers);
+        bool fired = false;
+        fresh.post(0, 3, [&fired] { fired = true; });
+        ScopedErrorCapture capture;
+        EXPECT_NO_THROW(fresh.run(DomainEngine::Hooks{}));
+        EXPECT_TRUE(fired);
+    }
 }
 
 // ---- sim_threads validation ---------------------------------------

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -124,14 +124,6 @@ TEST(EventQueueDeathTest, SchedulingInThePastIsFatal)
     EXPECT_DEATH(eq.schedule(50, [] {}), "when=50 now=100");
 }
 
-TEST(EventQueueDeathTest, PastScheduleFatalOnHeapEngineToo)
-{
-    EventQueue eq(EventEngine::Heap);
-    eq.schedule(7, [] {});
-    eq.run();
-    EXPECT_DEATH(eq.schedule(3, [] {}), "when=3 now=7");
-}
-
 TEST(EventQueue, SchedulingAtNowIsAllowed)
 {
     EventQueue eq;
@@ -177,52 +169,120 @@ TEST(EventQueue, FarAndNearEventsAtSameTickKeepSeqOrder)
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(EventQueue, EnginesProduceIdenticalExecutionOrder)
-{
-    // Drive an identical pseudo-random schedule through both engines
-    // and require the exact same (tick, id) execution sequence —
-    // the determinism contract behind the CARVE_EVENTQ switch.
-    using Trace = std::vector<std::pair<Cycle, int>>;
-    const auto drive = [](EventEngine engine) {
-        EventQueue eq(engine);
-        Trace trace;
-        std::uint64_t rng = 12345;
-        int id = 0;
-        const std::function<void()> spawn = [&] {
-            trace.emplace_back(eq.now(), id++);
-            for (int k = 0; k < 2 && trace.size() < 500; ++k) {
-                rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-                eq.scheduleAfter(1 + ((rng >> 33) % 2048), spawn);
-            }
-        };
-        eq.schedule(0, spawn);
-        eq.runWhile([&] { return trace.size() < 500; });
-        return trace;
-    };
-    EXPECT_EQ(drive(EventEngine::Calendar),
-              drive(EventEngine::Heap));
-}
+// ---- randomized oracle --------------------------------------------
 
-TEST(EventQueue, EngineSelectableByConstructorAndEnv)
+/**
+ * One seeded random schedule, checked against what the test itself
+ * recorded. Event i is the i-th schedule() call, so its queue
+ * sequence number is i; the test keeps every event's tick and counts
+ * its firings. Delays cover same-tick cascades, both sides of the
+ * near-horizon edge, far ticks around 10^6 and short hops.
+ */
+struct OracleRun
 {
-    EXPECT_EQ(EventQueue(EventEngine::Heap).engine(),
-              EventEngine::Heap);
-    EXPECT_EQ(EventQueue(EventEngine::Calendar).engine(),
-              EventEngine::Calendar);
+    static constexpr Cycle horizon = EventQueue::horizon;
+    static constexpr std::size_t max_events = 4000;
 
-    setenv("CARVE_EVENTQ", "heap", 1);
-    EXPECT_EQ(EventQueue().engine(), EventEngine::Heap);
-    setenv("CARVE_EVENTQ", "calendar", 1);
-    EXPECT_EQ(EventQueue().engine(), EventEngine::Calendar);
-    unsetenv("CARVE_EVENTQ");
-    EXPECT_EQ(EventQueue().engine(), EventEngine::Calendar);
-}
+    explicit OracleRun(std::uint64_t seed) : rng(seed) {}
 
-TEST(EventQueueDeathTest, BadEngineEnvValueIsFatal)
+    Cycle
+    delay()
+    {
+        switch (rng() % 8) {
+          case 0:
+          case 1:
+            return 0;
+          case 2:
+            return horizon - 1;
+          case 3:
+            return horizon;
+          case 4:
+            return horizon + 1;
+          case 5:
+            return 1'000'000 + rng() % 4;
+          default:
+            return 1 + rng() % 64;
+        }
+    }
+
+    void
+    add(Cycle when)
+    {
+        const std::size_t seq = ticks.size();
+        ticks.push_back(when);
+        fires.push_back(0);
+        eq.schedule(when, [this, seq] { fire(seq); });
+    }
+
+    void
+    fire(std::size_t seq)
+    {
+        ++fires[seq];
+        if (eq.now() != ticks[seq])
+            ++wrong_now;
+        if (ticks[seq] >= window_end)
+            ++past_window_end;
+        // Strictly increasing (when, seq) over the whole run.
+        if (fired_any && (ticks[seq] < last_when ||
+                          (ticks[seq] == last_when && seq <= last_seq)))
+            ++out_of_order;
+        fired_any = true;
+        last_when = ticks[seq];
+        last_seq = seq;
+        for (std::uint64_t k = rng() % 3; k > 0; --k)
+            if (ticks.size() < max_events)
+                add(eq.now() + delay());
+    }
+
+    EventQueue eq;
+    std::mt19937_64 rng;
+    std::vector<Cycle> ticks;  ///< by seq: the tick it was scheduled at
+    std::vector<int> fires;    ///< by seq: how often it fired
+    bool fired_any = false;
+    Cycle last_when = 0;
+    std::size_t last_seq = 0;
+    Cycle window_end = 0;  ///< end of the runWindow in progress
+    std::uint64_t out_of_order = 0;
+    std::uint64_t wrong_now = 0;
+    std::uint64_t past_window_end = 0;
+};
+
+TEST(EventQueue, RandomSchedulesFireInOrderExactlyOnce)
 {
-    setenv("CARVE_EVENTQ", "bogus", 1);
-    EXPECT_DEATH((void)EventQueue(), "CARVE_EVENTQ");
-    unsetenv("CARVE_EVENTQ");
+    for (const std::uint64_t seed : {1u, 7u, 42u, 1001u, 65537u}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        OracleRun r(seed);
+        for (int i = 0; i < 64; ++i)
+            r.add(r.delay());
+        r.add(1'000'000);
+
+        // Drain through runWindow, as the domain engine does: empty
+        // windows, one-tick windows and wide ones, with a barrier-time
+        // injection at or past each window end.
+        std::uint64_t windows = 0;
+        while (!r.eq.empty()) {
+            const Cycle next = r.eq.nextTick();
+            const Cycle end =
+                next + (r.rng() % 4 == 0 ? 0 : r.rng() % (2 * r.horizon));
+            r.window_end = end;
+            r.eq.runWindow(end);
+            ++windows;
+            ASSERT_GE(r.eq.nextTick(), end) << "window left work behind";
+            if (r.ticks.size() < r.max_events && r.rng() % 2)
+                r.add(end + r.delay());
+        }
+
+        EXPECT_EQ(r.ticks.size(), r.max_events);
+        EXPECT_GT(windows, 100u);
+        EXPECT_EQ(r.out_of_order, 0u);
+        EXPECT_EQ(r.wrong_now, 0u);
+        EXPECT_EQ(r.past_window_end, 0u);
+        std::size_t not_once = 0;
+        for (const int f : r.fires)
+            not_once += f != 1;
+        EXPECT_EQ(not_once, 0u) << "events not fired exactly once";
+        EXPECT_EQ(r.eq.executed(), r.ticks.size());
+    }
 }
 
 // ---- EventFn / bindEvent ------------------------------------------

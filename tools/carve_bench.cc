@@ -3,10 +3,8 @@
  * carve-bench: simulator throughput measurement. Two layers:
  *
  *  1. Event-queue microbenchmark — a population of self-rescheduling
- *     actors drives millions of events through each engine (calendar
- *     and heap) and reports events/sec. This isolates the engine from
- *     the simulator, so the calendar-vs-heap ratio is the headline
- *     number of the event-engine rewrite.
+ *     actors drives millions of events through the calendar queue and
+ *     reports events/sec, isolating the queue from the simulator.
  *  2. End-to-end preset x workload cells — full simulations timed on
  *     the host, reporting host-seconds, events/sec and warp-insts/sec
  *     per cell. Engine-scaling cells re-run the 4-GPU CARVE-HWC
@@ -31,7 +29,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <new>
 #include <string>
@@ -171,7 +168,7 @@ usage()
         "\n"
         "  --smoke            small grid + short micro (CI-sized)\n"
         "  --micro-only       skip the end-to-end cells\n"
-        "  --micro-events N   events per engine in the micro\n"
+        "  --micro-events N   events in the event-queue micro\n"
         "                     (default 5e6; --smoke uses 1e6)\n"
         "  --out FILE         output path (default BENCH_<date>.json)\n"
         "  --baseline FILE    compare against a bench file; exit 1\n"
@@ -236,7 +233,7 @@ secondsSince(std::chrono::steady_clock::time_point start)
  * LCG stream: mostly short (inside the calendar's near-horizon
  * ring), with one in 64 pushed past the horizon to exercise the
  * far-heap migration path. The callback is a pre-bound member
- * event, so steady state allocates nothing on either engine.
+ * event, so steady state allocates nothing.
  */
 struct Actor
 {
@@ -259,12 +256,11 @@ struct Actor
 };
 
 MicroResult
-runMicro(EventEngine engine, const char *name,
-         std::uint64_t target_events)
+runMicro(const char *name, std::uint64_t target_events)
 {
     constexpr std::size_t actors = 8192;
 
-    EventQueue eq(engine);
+    EventQueue eq;
     std::vector<Actor> pop(actors);
     for (std::size_t i = 0; i < actors; ++i) {
         pop[i].eq = &eq;
@@ -343,24 +339,14 @@ main(int argc, char **argv)
     BenchReport rep;
     rep.date = todayUtc();
     rep.git_version = harness::gitDescribe();
-    const char *env = std::getenv("CARVE_EVENTQ");
-    rep.engine = env && *env ? env : "calendar";
+    rep.engine = "calendar";
 
     // ---- engine microbenchmark ------------------------------------
     const std::uint64_t micro_events =
         cli.smoke ? std::min<std::uint64_t>(cli.micro_events,
                                             1'000'000)
                   : cli.micro_events;
-    const MicroResult cal = runMicro(EventEngine::Calendar,
-                                     "eventq/calendar",
-                                     micro_events);
-    const MicroResult heap =
-        runMicro(EventEngine::Heap, "eventq/heap", micro_events);
-    rep.micro = {cal, heap};
-    if (heap.events_per_sec > 0.0) {
-        std::printf("micro eventq speedup: calendar is %.2fx heap\n",
-                    cal.events_per_sec / heap.events_per_sec);
-    }
+    rep.micro = {runMicro("eventq/calendar", micro_events)};
 
     // ---- end-to-end cells -----------------------------------------
     if (!cli.micro_only) {
