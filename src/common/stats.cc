@@ -380,38 +380,6 @@ flattenStats(const StatGroup &root)
     return out;
 }
 
-ScalarSnapshot
-snapshotScalars(const StatGroup &root)
-{
-    ScalarSnapshot out;
-    StatGroup::Visitor v;
-    v.scalar = [&](const std::string &name, const Scalar &s,
-                   const std::string &) {
-        out.emplace_back(name, s.value());
-    };
-    root.visit(v);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-ScalarSnapshot
-snapshotDelta(const ScalarSnapshot &before,
-              const ScalarSnapshot &after)
-{
-    ScalarSnapshot out;
-    out.reserve(after.size());
-    std::size_t bi = 0;
-    for (const auto &[name, value] : after) {
-        while (bi < before.size() && before[bi].first < name)
-            ++bi;
-        std::uint64_t base = 0;
-        if (bi < before.size() && before[bi].first == name)
-            base = before[bi].second;
-        out.emplace_back(name, value >= base ? value - base : 0);
-    }
-    return out;
-}
-
 bool
 nameMatches(std::string_view pattern, std::string_view name)
 {

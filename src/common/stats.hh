@@ -190,24 +190,6 @@ struct FlatStat
     }
 };
 
-/** Scalar values by full name, sorted by name. */
-using ScalarSnapshot =
-    std::vector<std::pair<std::string, std::uint64_t>>;
-
-/**
- * Per-kernel measurement phase: the increase of every scalar counter
- * between two kernel boundaries, so benches can separate warmup
- * kernels from steady state without resetting live counters.
- */
-struct EpochPhase
-{
-    std::uint32_t index = 0;        ///< kernel id of this phase
-    std::uint64_t start_cycle = 0;
-    std::uint64_t end_cycle = 0;
-    /** Counter increase during the phase, sorted by name. */
-    ScalarSnapshot deltas;
-};
-
 /**
  * Named collection of statistics. Groups nest to form dotted names
  * (e.g., "gpu0.l2.hits"). Registered names must not contain '.'
@@ -346,17 +328,6 @@ class StatGroup
  * results (schema v2) and consumed by collectResult().
  */
 std::vector<FlatStat> flattenStats(const StatGroup &root);
-
-/** Capture every scalar counter's current value, sorted by name. */
-ScalarSnapshot snapshotScalars(const StatGroup &root);
-
-/**
- * Per-name difference @p after - @p before (both sorted by name).
- * Names present only in @p after are reported at full value; names
- * that disappeared are dropped (stats never unregister mid-run).
- */
-ScalarSnapshot snapshotDelta(const ScalarSnapshot &before,
-                             const ScalarSnapshot &after);
 
 /**
  * Match a dotted stat name against a pattern matched segment by

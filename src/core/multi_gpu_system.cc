@@ -125,7 +125,6 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
     }
 
     registerStats();
-    phase_base_ = stats::snapshotScalars(stat_root_);
 }
 
 void
@@ -396,22 +395,6 @@ MultiGpuSystem::finishKernelBarrier()
         trace_->instant(trace::Category::Kernel, track,
                         "kernel_boundary", engine_.now(), stall);
     }
-
-    // Epoch snapshot: the counter increase attributable to this
-    // kernel, boundary actions included. Sharded counters were folded
-    // by the on_barrier hook (which runs before barrier actions), so
-    // the snapshot sees complete totals. Live counters are never
-    // reset, so the running totals in the tree stay end-to-end.
-    stats::EpochPhase phase;
-    phase.index = cur_kernel_;
-    phase.start_cycle = phase_start_;
-    phase.end_cycle = engine_.now();
-    const stats::ScalarSnapshot snap =
-        stats::snapshotScalars(stat_root_);
-    phase.deltas = stats::snapshotDelta(phase_base_, snap);
-    phases_.push_back(std::move(phase));
-    phase_base_ = snap;
-    phase_start_ = engine_.now();
 
     auditCheck(/* final_pass */ false);
 

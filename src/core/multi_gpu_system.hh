@@ -160,14 +160,6 @@ class MultiGpuSystem : public SystemFabric
      */
     const stats::StatGroup &stats() const { return stat_root_; }
 
-    /** Per-kernel counter deltas captured at every kernel boundary
-     * (epoch snapshots; valid after run()). */
-    const std::vector<stats::EpochPhase> &
-    kernelPhases() const
-    {
-        return phases_;
-    }
-
   private:
     /** A remote read crossing the fabric; pooled per source domain so
      * the three-hop request/service/data chain schedules only bound
@@ -281,9 +273,6 @@ class MultiGpuSystem : public SystemFabric
 
     stats::StatGroup stat_root_;
     std::vector<std::unique_ptr<stats::StatGroup>> stat_groups_;
-    std::vector<stats::EpochPhase> phases_;
-    stats::ScalarSnapshot phase_base_;
-    Cycle phase_start_ = 0;
 };
 
 } // namespace carve

@@ -114,7 +114,6 @@ collectResult(const MultiGpuSystem &sys, const std::string &workload,
         valueU64("numa.sharing.total_page_bytes");
 
     r.stat_tree = flat;
-    r.phases = sys.kernelPhases();
     return r;
 }
 

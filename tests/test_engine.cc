@@ -24,6 +24,20 @@
 #include "harness/stats_json.hh"
 #include "workloads/suite.hh"
 
+// ThreadSanitizer slows a simulation ~10x; under it the preset grid
+// keeps every preset but only two workloads at 2 and 4 workers (see
+// the grid test).
+#if defined(__SANITIZE_THREAD__)
+#define CARVE_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define CARVE_TSAN_BUILD 1
+#endif
+#endif
+#ifndef CARVE_TSAN_BUILD
+#define CARVE_TSAN_BUILD 0
+#endif
+
 namespace carve {
 namespace {
 
@@ -74,17 +88,25 @@ TEST(EngineIdentity, SerialVsParallelAcrossThePresetGrid)
     // crossed with six workloads spanning the suite's sharing
     // patterns: interleaved false sharing + atomics, read-only
     // lookups, halo exchange, broadcast weights, private streaming,
-    // and graph-style skewed atomics.
+    // and graph-style skewed atomics. Under ThreadSanitizer every
+    // preset runs on Lulesh (interleaved sharing, kernel-boundary
+    // coherence) and SSSP (skewed atomics, remote traffic) at 2 and 4
+    // workers only: that reaches every engine path — outbox exchange,
+    // barriers, sharded counters — at a quarter of the cost, and a
+    // one-worker loop has no race to find.
     const std::vector<Preset> presets = {
         Preset::SingleGpu,        Preset::NumaGpu,
         Preset::NumaGpuMigration, Preset::NumaGpuReplRO,
         Preset::CarveNoCoherence, Preset::CarveSwc,
         Preset::CarveHwc,         Preset::Ideal,
     };
-    const std::vector<std::string> workloads = {
-        "Lulesh", "MCB", "CoMD", "AlexNet", "stream-triad", "SSSP",
-    };
-    const std::vector<unsigned> threads = threadCounts();
+    const std::vector<std::string> workloads = CARVE_TSAN_BUILD
+        ? std::vector<std::string>{"Lulesh", "SSSP"}
+        : std::vector<std::string>{"Lulesh", "MCB",    "CoMD",
+                                   "AlexNet", "stream-triad", "SSSP"};
+    std::vector<unsigned> threads = threadCounts();
+    if (CARVE_TSAN_BUILD && threads.size() > 1)
+        threads.erase(threads.begin());
 
     for (const Preset preset : presets) {
         for (const std::string &wl : workloads) {
@@ -112,14 +134,27 @@ TEST(EngineIdentity, MshrSaturatedWakeListsMatchAcrossThreads)
     // queue. Wake order must be a pure function of (tick, seq), so
     // the stat tree stays byte-identical at every thread count.
     SimJob job = gridJob(Preset::CarveHwc, "Lulesh");
+    job.options.engine = SimEngine::Serial;
+    const std::uint64_t unsaturated_events = run(job).events;
+
     job.config.l1.mshrs = 2;
     job.config.l2.mshrs = 4;
     job.config.rdc.mshr_entries = 4;
     job.preset_label = "carve-mshr-sat";
-
-    job.options.engine = SimEngine::Serial;
-    const std::string serial = statBytes(job);
+    const SimResult saturated = run(job);
+    const std::string serial =
+        harness::statTreeToJson(saturated.stat_tree).dump();
     ASSERT_GT(serial.size(), 100u);
+
+    // A request that finds the file full parks once and is woken by
+    // a fill, so saturation adds wake events but no polling: the
+    // event count stays within 2x of the unsaturated run (1.21x
+    // measured). Retry polling multiplies it by hundreds.
+    std::printf("mshr-saturated events %llu, unsaturated %llu\n",
+                static_cast<unsigned long long>(saturated.events),
+                static_cast<unsigned long long>(unsaturated_events));
+    EXPECT_LE(saturated.events, 2 * unsaturated_events)
+        << "parked requests must wait for a fill, not poll";
 
     job.options.engine = SimEngine::Parallel;
     for (const unsigned n : threadCounts()) {

@@ -208,30 +208,6 @@ TEST(StatsRegistry, NameMatchingSegmentsAndPrefixes)
     EXPECT_FALSE(nameMatches("gpu0.l2.hits", "gpu0.l2"));
 }
 
-// ---- snapshots -----------------------------------------------------
-
-TEST(StatsRegistry, SnapshotDeltaReportsIncrease)
-{
-    stats::Scalar a, b;
-    stats::StatGroup root("");
-    root.addScalar("a", &a);
-    root.addScalar("b", &b);
-
-    a += 10;
-    const stats::ScalarSnapshot before = stats::snapshotScalars(root);
-    a += 5;
-    b += 2;
-    const stats::ScalarSnapshot after = stats::snapshotScalars(root);
-
-    const stats::ScalarSnapshot delta =
-        stats::snapshotDelta(before, after);
-    ASSERT_EQ(delta.size(), 2u);
-    EXPECT_EQ(delta[0].first, "a");
-    EXPECT_EQ(delta[0].second, 5u);
-    EXPECT_EQ(delta[1].first, "b");
-    EXPECT_EQ(delta[1].second, 2u);
-}
-
 // ---- live system ---------------------------------------------------
 
 TEST(StatsRegistry, SystemRegistryMatchesSummaryFields)
@@ -264,50 +240,6 @@ TEST(StatsRegistry, SystemRegistryMatchesSummaryFields)
     EXPECT_EQ(migrations, r.migrations);
     EXPECT_GT(r.stat_tree.size(), 100u)
         << "every component must contribute stats";
-}
-
-TEST(StatsRegistry, KernelPhasesPartitionTheRun)
-{
-    const WorkloadParams p =
-        miniWorkload(RegionKind::InterleavedStream, 0.2, 3);
-    SyntheticWorkload wl(p, 128, 1);
-    const SystemConfig cfg =
-        makePreset(Preset::NumaGpu, miniConfig());
-    MultiGpuSystem sys(cfg, wl);
-    sys.run();
-    ASSERT_TRUE(sys.finished());
-
-    const auto &phases = sys.kernelPhases();
-    ASSERT_EQ(phases.size(), 3u) << "one phase per kernel";
-
-    // Phases tile the run: contiguous, increasing cycle ranges.
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-        EXPECT_EQ(phases[i].index, i);
-        EXPECT_LT(phases[i].start_cycle, phases[i].end_cycle);
-        if (i > 0) {
-            EXPECT_EQ(phases[i].start_cycle,
-                      phases[i - 1].end_cycle);
-        }
-    }
-
-    // Epoch deltas must sum to the final counter values: snapshots
-    // are pure differences, never resets of live counters.
-    const stats::ScalarSnapshot final_snap =
-        stats::snapshotScalars(sys.stats());
-    std::uint64_t insts_total = 0;
-    for (const auto &ph : phases) {
-        for (const auto &[name, value] : ph.deltas) {
-            if (name == "gpu0.sm0.insts_issued")
-                insts_total += value;
-        }
-    }
-    std::uint64_t insts_final = 0;
-    for (const auto &[name, value] : final_snap) {
-        if (name == "gpu0.sm0.insts_issued")
-            insts_final = value;
-    }
-    EXPECT_GT(insts_final, 0u);
-    EXPECT_EQ(insts_total, insts_final);
 }
 
 } // namespace

@@ -232,23 +232,6 @@ TEST(TelemetryStats, FindHistogramAndNameClashGuard)
     EXPECT_EQ(root.findHistogram("nope"), nullptr);
 }
 
-TEST(TelemetryStats, ScalarSnapshotIgnoresHistograms)
-{
-    // Epoch deltas walk scalars only; a histogram must not perturb
-    // the snapshot size or ordering.
-    stats::Scalar c;
-    Histogram h;
-    stats::StatGroup root("");
-    root.addScalar("count", &c);
-    root.addHistogram("lat", &h);
-    c += 4;
-    h.sample(9);
-    const auto snap = stats::snapshotScalars(root);
-    ASSERT_EQ(snap.size(), 1u);
-    EXPECT_EQ(snap[0].first, "count");
-    EXPECT_EQ(snap[0].second, 4u);
-}
-
 // ---- Prometheus rendering ------------------------------------------
 
 TEST(TelemetryPrometheus, ValueFamilyCarriesHelpTypeSample)
